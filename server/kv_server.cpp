@@ -345,6 +345,8 @@ StepOut run_net(const Args& args, const std::string& variant, int rate,
       .num("shed_service", ns.shed_service)
       .num("protocol_errors", ns.protocol_errors)
       .num("conns_accepted", ns.conns_accepted)
+      .num("doorbells", ns.doorbells)
+      .num("loop_parks", ns.loop_parks)
       .num("serial_entries", m.progress.serial_entries)
       .num("max_attempts",
            static_cast<std::uint64_t>(m.progress.max_attempts));

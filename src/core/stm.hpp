@@ -1,8 +1,9 @@
 // Umbrella header for the z-linearizable transactional memory library.
 //
 // The library reproduces "From Causal to z-Linearizable Transactional
-// Memory" (Riegel, Sturzrehm, Felber, Fetzer — PODC 2007) and exposes four
-// STM runtimes plus their shared substrates:
+// Memory" (Riegel, Sturzrehm, Felber, Fetzer — PODC 2007) and exposes six
+// STM runtimes plus their shared substrates — seven variant names in the
+// façade, because "lsa-nors" is LSA without read-only read sets:
 //
 //   zstm::lsa::Runtime       — LSA-STM baseline (linearizable TBTM, §2/[8])
 //   zstm::cs::VcRuntime      — CS-STM, causal serializability, vector
@@ -10,6 +11,8 @@
 //   zstm::cs::RevRuntime     — CS-STM over r-entry plausible clocks (§4.3)
 //   zstm::sstm::Runtime      — S-STM, serializability (§4.2)
 //   zstm::zl::Runtime        — Z-STM, z-linearizability (Algorithms 2 & 3)
+//   zstm::tl2::Runtime       — TL2 word-granularity comparison backend
+//                              (strict serializability; DESIGN.md §9)
 //
 // The recommended entry point is the unified façade (api/stm_api.hpp):
 // every variant behind one interface, selected statically or by name, with

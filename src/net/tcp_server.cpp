@@ -1,9 +1,9 @@
 // TcpServer implementation (DESIGN.md §13). Threading model in one line:
 // every byte of per-connection state is owned by exactly one event-loop
 // thread; KvService workers reach a loop only through its mutex-protected
-// completion inbox + eventfd, and the acceptor only through the new-fd
-// inbox. The graceful-drain handshake in stop() is the only subtle part
-// and is commented where it happens.
+// completion inbox + eventfd doorbell, and the acceptor only through the
+// new-fd inbox. The subtle parts — the idle loop's doorbell rule and the
+// graceful-drain handshake in stop() — are commented where they happen.
 #include "net/tcp_server.hpp"
 
 #include <arpa/inet.h>
@@ -22,6 +22,7 @@
 
 #include "fault/failpoint.hpp"
 #include "net/wire.hpp"
+#include "util/idle_ladder.hpp"
 
 namespace zstm::net {
 namespace {
@@ -73,6 +74,9 @@ struct TcpServer::IoLoop {
   std::mutex inbox_mu;
   std::vector<int> new_fds;
   std::vector<Completion> completions;
+  /// "The inbox is non-empty": written only under inbox_mu, read without it
+  /// so a spinning pass over an empty inbox costs no lock.
+  std::atomic<bool> inbox_busy{false};
 
   struct Conn {
     int fd = -1;
@@ -97,24 +101,44 @@ struct TcpServer::IoLoop {
   std::atomic<std::uint64_t> shed_backpressure{0};
   std::atomic<std::uint64_t> shed_service{0};
   std::atomic<std::uint64_t> conns_closed{0};
+  std::atomic<std::uint64_t> doorbells{0};   ///< bumped by posting threads
+  std::atomic<std::uint64_t> loop_parks{0};
   /// Bytes sitting in out-buffers, not yet written to the kernel — the
   /// flush gauge stop()'s drain phase watches.
   std::atomic<std::uint64_t> out_pending_bytes{0};
 
-  void post_new_fd(int fd) {
+  // Doorbell rule: a post writes the eventfd only when it turns an empty
+  // inbox non-empty. That is enough because run() drains the eventfd BEFORE
+  // it swaps the inbox out. A post that finds the inbox non-empty joins an
+  // entry E whose poster rings (or has rung) after pushing E. If that ring
+  // is still to come or still pending, the loop will wake, drain it and
+  // then swap — taking both entries. If a drain has already consumed it,
+  // the swap that follows that drain has not happened yet (the inbox still
+  // holds E), so it takes this entry too. Either way no entry sits in the
+  // inbox without a ring the loop has yet to act on; any post after the
+  // swap sees an empty inbox and rings afresh. A ring landing between
+  // drain and swap only costs one spurious pass.
+  template <typename Push>
+  void post(Push push) {
+    bool ring;
     {
       std::lock_guard<std::mutex> lk(inbox_mu);
-      new_fds.push_back(fd);
+      ring = !inbox_busy.load(std::memory_order_relaxed);
+      push();
+      inbox_busy.store(true, std::memory_order_release);
     }
-    wake();
+    if (ring) {
+      doorbells.fetch_add(1, std::memory_order_relaxed);
+      wake();
+    }
+  }
+
+  void post_new_fd(int fd) {
+    post([&] { new_fds.push_back(fd); });
   }
 
   void post_completion(std::uint64_t conn_id, const wire::Response& resp) {
-    {
-      std::lock_guard<std::mutex> lk(inbox_mu);
-      completions.push_back(Completion{conn_id, resp});
-    }
-    wake();
+    post([&] { completions.push_back(Completion{conn_id, resp}); });
   }
 
   void wake() {
@@ -123,7 +147,7 @@ struct TcpServer::IoLoop {
   }
 
   void run();
-  void process_inbox();
+  bool process_inbox(bool rang);
   void add_conn(int fd);
   void close_conn(Conn& c, std::atomic<std::uint64_t>* reason);
   void handle_readable(Conn& c);
@@ -135,12 +159,29 @@ struct TcpServer::IoLoop {
 };
 
 void TcpServer::IoLoop::run() {
+  // Parked, the loop sleeps until an event or the idle-scan tick (forever
+  // when idle closing is off); idle_scan itself runs once per tick, not on
+  // every spinning pass.
+  int tick_ms = -1;
+  if (srv.cfg_.idle_timeout.count() > 0) {
+    const long t = srv.cfg_.idle_timeout.count() / 4;
+    tick_ms = static_cast<int>(t < 10 ? 10 : (t > 500 ? 500 : t));
+  }
+  const std::uint64_t tick_ns =
+      tick_ms > 0 ? static_cast<std::uint64_t>(tick_ms) * 1000000ULL : 0;
+  std::uint64_t next_scan_ns = tick_ns != 0 ? mono_ns() + tick_ns : 0;
+
+  // Spin → yield → park (util::IdleLadder), as the service workers do:
+  // while traffic flows, neither an arriving frame nor a completion's
+  // doorbell has to wake a sleeping thread.
+  util::IdleLadder ladder;
+  util::IdleLadder::Rung rung = util::IdleLadder::Rung::kSpin;
   epoll_event evs[64];
   for (;;) {
-    int timeout = -1;
-    if (srv.cfg_.idle_timeout.count() > 0) {
-      const long t = srv.cfg_.idle_timeout.count() / 4;
-      timeout = static_cast<int>(t < 10 ? 10 : (t > 500 ? 500 : t));
+    int timeout = 0;
+    if (rung == util::IdleLadder::Rung::kPark) {
+      loop_parks.fetch_add(1, std::memory_order_relaxed);
+      timeout = tick_ms;
     }
     const int n = ::epoll_wait(epfd, evs, 64, timeout);
     if (n < 0 && errno != EINTR) break;  // epoll fd gone — bail out
@@ -151,11 +192,13 @@ void TcpServer::IoLoop::run() {
     // post landing between process_inbox and a later drain would have its
     // signal swallowed with the inbox entry still queued, and a quiet loop
     // would sleep on it indefinitely.
+    bool rang = false;
     for (int i = 0; i < n; ++i) {
       if (evs[i].data.fd == evfd) {
         std::uint64_t junk;
         while (::read(evfd, &junk, sizeof junk) > 0) {
         }
+        rang = true;
       }
     }
 
@@ -165,7 +208,7 @@ void TcpServer::IoLoop::run() {
       // stop() may then trust pending_responses_ to only count down.
       drain_acked.store(true, std::memory_order_release);
     }
-    process_inbox();
+    const bool took = process_inbox(rang);
 
     if (stop_flag.load(std::memory_order_acquire)) break;
 
@@ -182,27 +225,46 @@ void TcpServer::IoLoop::run() {
       if (flags & EPOLLOUT) try_flush(c);
     }
 
-    if (srv.cfg_.idle_timeout.count() > 0) idle_scan(mono_ns());
+    if (tick_ns != 0) {
+      const std::uint64_t now = mono_ns();
+      if (now >= next_scan_ns) {
+        idle_scan(now);
+        next_scan_ns = now + tick_ns;
+      }
+    }
+
+    if (n > 0 || took) {
+      ladder.reset();
+      rung = util::IdleLadder::Rung::kSpin;
+    } else {
+      rung = ladder.idle();
+      if (rung == util::IdleLadder::Rung::kYield) std::this_thread::yield();
+    }
   }
 
   // Teardown: every remaining connection closes abruptly; completions
   // still queued are dropped (stop() only reaches this point once
   // pending_responses_ is 0, so inbox completions can only be stragglers
   // for already-dead connections — but account for them defensively).
-  process_inbox();
+  process_inbox(true);
   std::vector<Conn*> left;
   left.reserve(by_fd.size());
   for (auto& [fd, c] : by_fd) left.push_back(c.get());
   for (Conn* c : left) close_conn(*c, nullptr);
 }
 
-void TcpServer::IoLoop::process_inbox() {
+/// Takes and handles everything posted so far; false if there was nothing.
+/// `rang` (the eventfd was just drained) forces the locked look: the
+/// doorbell rule's argument runs through the mutex, not the flag.
+bool TcpServer::IoLoop::process_inbox(bool rang) {
+  if (!rang && !inbox_busy.load(std::memory_order_acquire)) return false;
   std::vector<int> fds;
   std::vector<Completion> comps;
   {
     std::lock_guard<std::mutex> lk(inbox_mu);
     fds.swap(new_fds);
     comps.swap(completions);
+    inbox_busy.store(false, std::memory_order_relaxed);
   }
   for (int fd : fds) add_conn(fd);
   for (const Completion& comp : comps) {
@@ -214,6 +276,7 @@ void TcpServer::IoLoop::process_inbox() {
     // reached its terminal state.
     srv.pending_responses_.fetch_sub(1, std::memory_order_release);
   }
+  return !fds.empty() || !comps.empty();
 }
 
 void TcpServer::IoLoop::add_conn(int fd) {
@@ -629,6 +692,8 @@ void TcpServer::stop() {
     retired_.shed_service +=
         loop->shed_service.load(std::memory_order_relaxed);
     retired_.conns_closed += loop->conns_closed.load(std::memory_order_relaxed);
+    retired_.doorbells += loop->doorbells.load(std::memory_order_relaxed);
+    retired_.loop_parks += loop->loop_parks.load(std::memory_order_relaxed);
   }
   loops_.clear();
   ::close(stop_event_fd_);
@@ -656,6 +721,8 @@ NetStats TcpServer::stats() const {
         loop->shed_backpressure.load(std::memory_order_relaxed);
     s.shed_service += loop->shed_service.load(std::memory_order_relaxed);
     s.conns_closed += loop->conns_closed.load(std::memory_order_relaxed);
+    s.doorbells += loop->doorbells.load(std::memory_order_relaxed);
+    s.loop_parks += loop->loop_parks.load(std::memory_order_relaxed);
   }
   return s;
 }

@@ -2,8 +2,9 @@
 // (DESIGN.md §13): one acceptor thread plus N event-loop threads, each loop
 // owning its connections outright (all per-connection state is touched only
 // by the owning loop thread; the single cross-thread structure is a
-// mutex-protected completion inbox fed by the KvService workers and drained
-// after an eventfd wakeup).
+// mutex-protected completion inbox fed by the KvService workers). An idle
+// loop spins, then yields, then parks in epoll_wait (util::IdleLadder); the
+// inbox rings the loop's eventfd only when it turns non-empty.
 //
 // Data path: loop reads → incremental wire::decode_request over the
 // connection's in-buffer (partial frames simply wait; protocol errors close
@@ -31,7 +32,7 @@
 // come back and every response byte that can be flushed has been flushed
 // (bounded by drain_timeout for peers that stopped reading), then close.
 //
-// Failpoint sites (§13.5): net.accept (drop fresh connection), net.read
+// Failpoint sites (§13.4): net.accept (drop fresh connection), net.read
 // (short read), net.write (short write), net.conn_kill (hard-close at
 // request parse). All four have ordinary recovery paths; the chaos net
 // suite runs the full client battery with them armed.
@@ -80,6 +81,8 @@ struct NetStats {
   std::uint64_t shed_backpressure = 0;  ///< out-buffer over high watermark
   std::uint64_t shed_service = 0;       ///< KvService ring shed
   std::uint64_t accept_failures = 0;    ///< accept() errors + failpoint drops
+  std::uint64_t doorbells = 0;          ///< inbox eventfd writes (empty->busy)
+  std::uint64_t loop_parks = 0;         ///< blocking epoll_waits entered
 };
 
 class TcpServer {
@@ -108,7 +111,6 @@ class TcpServer {
   struct IoLoop;
 
   void acceptor_loop();
-  IoLoop& pick_loop(std::size_t n);
 
   server::KvService& svc_;
   NetConfig cfg_;

@@ -1,5 +1,5 @@
 // ObjectStore — ownership and protocol core of the versioned-object
-// substrate (versioned.hpp), shared by all four runtimes.
+// substrate (versioned.hpp), shared by the five object-based runtimes.
 //
 // One store per runtime owns every transactional object for the runtime's
 // lifetime and centralizes the logic that used to be copy-pasted per

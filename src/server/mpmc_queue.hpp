@@ -9,11 +9,11 @@
 // shedding keeps the arrival process honest and is itself a measurement).
 //
 // Consumers use pop(): a bounded spin over try_pop that degrades to
-// sched_yield and then to a short sleep, so idle workers cost ~nothing at
-// low arrival rates while a 1-CPU box still makes progress. close() makes
-// pop() return false once the ring has drained — the service's clean
-// shutdown: producers stop, workers finish every accepted request, then
-// exit.
+// sched_yield and then to a short sleep (util::IdleLadder), so idle workers
+// cost ~nothing at low arrival rates while a 1-CPU box still makes
+// progress. close() makes pop() return false once the ring has drained —
+// the service's clean shutdown: producers stop, workers finish every
+// accepted request, then exit.
 #pragma once
 
 #include <atomic>
@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "util/align.hpp"
+#include "util/idle_ladder.hpp"
 
 namespace zstm::server {
 
@@ -97,7 +98,7 @@ class MpmcQueue {
   /// dozes in short sleeps. Returns false only when the queue is closed
   /// AND drained — every accepted item is popped exactly once.
   bool pop(T& out) {
-    int spins = 0;
+    util::IdleLadder ladder;
     for (;;) {
       if (try_pop(out)) return true;
       if (closed_.load(std::memory_order_acquire)) {
@@ -106,13 +107,15 @@ class MpmcQueue {
         if (try_pop(out)) return true;
         return false;
       }
-      ++spins;
-      if (spins < 64) {
-        // busy-spin
-      } else if (spins < 256) {
-        std::this_thread::yield();
-      } else {
-        std::this_thread::sleep_for(std::chrono::microseconds(50));
+      switch (ladder.idle()) {
+        case util::IdleLadder::Rung::kSpin:
+          break;
+        case util::IdleLadder::Rung::kYield:
+          std::this_thread::yield();
+          break;
+        case util::IdleLadder::Rung::kPark:
+          std::this_thread::sleep_for(std::chrono::microseconds(50));
+          break;
       }
     }
   }

@@ -1,8 +1,9 @@
 // Networked KV front end battery (DESIGN.md §13): every protocol op over a
 // real loopback socket for every runtime variant, pipelined concurrent
 // clients, connection lifecycle (idle timeout, max-connections cap,
-// graceful drain with in-flight requests), and the chaos recipe with the
-// net.* failpoint sites armed.
+// graceful drain with in-flight requests), the idle loop's doorbell and
+// parking behaviour, and the chaos recipe with the net.* failpoint sites
+// armed.
 //
 // CTest label: `net`.
 #include <gtest/gtest.h>
@@ -10,6 +11,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -276,6 +278,99 @@ TEST(NetServer, GracefulDrainFlushesInFlightResponses) {
   EXPECT_EQ(got, kBurst);
   EXPECT_EQ(ts.stats().conns_active, 0u);
   svc.stop();
+}
+
+TEST(NetServer, PipelinedBurstBatchesDoorbellsAndIdleLoopParks) {
+  // The doorbell rule (§13.2): completions landing in a non-empty inbox do
+  // not write the eventfd again, so a pipelined burst answers with fewer
+  // doorbells than responses. Once the traffic stops, the loop must climb
+  // its ladder to the parked rung instead of spinning on.
+  Rig rig("tl2");
+  rig.svc.preload(0, 64, 5);
+  KvClient c = rig.client();
+  ASSERT_TRUE(c.ping(1));  // the connection is registered with its loop
+  const NetStats before = rig.ts.stats();
+
+  const int kBurst = 64;
+  std::vector<std::uint8_t> burst;
+  for (int i = 0; i < kBurst; ++i) {
+    wire::Request req;
+    req.op = i % 4 == 3 ? wire::Op::kPut : wire::Op::kGet;
+    req.req_id = static_cast<std::uint64_t>(i) + 1;
+    req.key = static_cast<std::uint64_t>(i);
+    req.value = 5;
+    std::uint8_t buf[wire::kReqFrame];
+    wire::encode_request(req, buf);
+    burst.insert(burst.end(), buf, buf + wire::kReqFrame);
+  }
+  ASSERT_TRUE(c.send_raw(burst.data(), burst.size()));
+  for (int i = 0; i < kBurst; ++i) {
+    wire::Response resp;
+    ASSERT_TRUE(c.recv_response(&resp));
+    EXPECT_EQ(resp.status, wire::Status::kOk);
+  }
+
+  const NetStats after = rig.ts.stats();
+  EXPECT_EQ(after.requests, after.responses);
+  EXPECT_EQ(after.responses - before.responses,
+            static_cast<std::uint64_t>(kBurst));
+  EXPECT_LT(after.doorbells, after.responses);
+
+  // `before` was taken ahead of the burst, which knocked the loop off the
+  // parked rung; quiet must bring it back there.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_GT(rig.ts.stats().loop_parks, before.loop_parks);
+}
+
+TEST(NetServer, SequentialRoundTripsAcrossParkThreshold) {
+  // Lost-wakeup regression for the idle loop (§13.2). One request at a
+  // time, separated by gaps that catch the loop on every rung of its
+  // ladder: spinning (0, 20 µs), yielding (100 µs) and parked (500 µs,
+  // 2 ms). A doorbell the loop missed would strand a completion in its
+  // inbox while it sleeps in epoll_wait; the watchdog below turns that
+  // hang into a failure instead of a stuck suite.
+  Rig rig("lsa");
+  rig.svc.preload(0, 64, 7);
+  constexpr int kTrips = 2000;
+  constexpr int kGapsUs[] = {0, 20, 100, 500, 2000};
+  constexpr auto kDeadline = std::chrono::seconds(1);
+  using Clock = std::chrono::steady_clock;
+
+  std::atomic<int> done{0};
+  std::atomic<bool> finished{false};
+  std::atomic<Clock::rep> in_flight_since{0};  // 0 = no call outstanding
+  std::thread client([&] {
+    KvClient c = rig.client();
+    for (int i = 0; i < kTrips; ++i) {
+      const int gap = kGapsUs[i % 5];
+      if (gap > 0) std::this_thread::sleep_for(std::chrono::microseconds(gap));
+      in_flight_since.store(Clock::now().time_since_epoch().count());
+      const std::optional<std::int64_t> v =
+          c.get(static_cast<std::uint64_t>(i % 64));
+      in_flight_since.store(0);
+      if (v != 7) break;  // transport failure or a wrong answer
+      done.fetch_add(1);
+    }
+    finished.store(true);
+  });
+
+  bool stuck = false;
+  while (!finished.load()) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    const Clock::rep since = in_flight_since.load();
+    if (since != 0 &&
+        Clock::now() - Clock::time_point(Clock::duration(since)) > kDeadline) {
+      stuck = true;
+      break;
+    }
+  }
+  // stop()'s unconditional wake releases a stranded completion; the
+  // client then sees its connection close and leaves the loop.
+  if (stuck) rig.ts.stop();
+  client.join();
+  EXPECT_FALSE(stuck) << "round trip " << done.load()
+                      << " got no answer within 1 s";
+  EXPECT_EQ(done.load(), kTrips);
 }
 
 TEST(NetServer, StopWithNoClientsAndRestartPort) {

@@ -1,5 +1,5 @@
 // Unit tests for the util substrate: RNG, backoff, spin lock, thread
-// registry, padding, statistics.
+// registry, padding, statistics, the idle ladder.
 //
 // CTest label: `smoke` — fast canary, gates CI before the stress suites
 // (DESIGN.md §6).
@@ -13,6 +13,7 @@
 
 #include "util/align.hpp"
 #include "util/backoff.hpp"
+#include "util/idle_ladder.hpp"
 #include "util/rng.hpp"
 #include "util/spin_lock.hpp"
 #include "util/stats.hpp"
@@ -116,6 +117,27 @@ TEST(Backoff, ResetRestoresMinimum) {
   for (int i = 0; i < 5; ++i) bo.pause();
   bo.reset();
   EXPECT_EQ(bo.current_limit(), 4u);
+}
+
+// --- idle ladder -------------------------------------------------------------
+
+TEST(IdleLadder, SpinsThenYieldsThenParksUntilReset) {
+  IdleLadder ladder;
+  using Rung = IdleLadder::Rung;
+  // Empty passes 1..63 spin, 64..255 yield, 256 on park (the pre-ladder
+  // MpmcQueue::pop counts, kept exactly).
+  for (int pass = 1; pass < IdleLadder::kSpinPasses; ++pass) {
+    ASSERT_EQ(ladder.idle(), Rung::kSpin) << pass;
+  }
+  for (int pass = IdleLadder::kSpinPasses; pass < IdleLadder::kParkAfter;
+       ++pass) {
+    ASSERT_EQ(ladder.idle(), Rung::kYield) << pass;
+  }
+  for (int pass = 0; pass < 1000; ++pass) {
+    ASSERT_EQ(ladder.idle(), Rung::kPark);
+  }
+  ladder.reset();
+  EXPECT_EQ(ladder.idle(), Rung::kSpin);
 }
 
 // --- spin lock -----------------------------------------------------------------
