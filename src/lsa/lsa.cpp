@@ -86,6 +86,13 @@ ThreadCtx::~ThreadCtx() {
 Tx& ThreadCtx::begin(bool read_only) {
   if (in_transaction()) abort_attempt();  // defensive: drop a leaked attempt
   Tx& tx = tx_;
+  // The recorded real-time interval must cover the whole attempt, snapshot
+  // included: ticking begin_seq after now_snapshot() lets a writer that
+  // commits in between look as if it preceded this transaction in real
+  // time, although the snapshot predates it — a false real-time edge the
+  // strict and z-linearizability checkers then report as a cycle.
+  const std::uint64_t begin_seq =
+      rt_.recorder_.enabled() ? rt_.recorder_.tick() : 0;
   next_tx_id_ = rt_.next_tx_id(slot());
   tx.desc_ = rt_.pool_.create<TxDesc>(slot(), next_tx_id_, slot(),
                                       runtime::TxClass::kShort);
@@ -108,7 +115,7 @@ Tx& ThreadCtx::begin(bool read_only) {
     tx.rec_.tx_id = next_tx_id_;
     tx.rec_.thread_slot = slot();
     tx.rec_.tx_class = runtime::TxClass::kShort;
-    tx.rec_.begin_seq = rt_.recorder_.tick();
+    tx.rec_.begin_seq = begin_seq;
   }
   return tx;
 }

@@ -148,6 +148,10 @@ LongTx& ThreadCtx::begin_long() {
   LongTx& tx = long_tx_;
   lsa::Runtime& sub = rt_.lsa_;
   const int s = slot();
+  // Tick before the zone number is drawn, for the reason given in
+  // lsa::ThreadCtx::begin: the recorded interval must cover the attempt.
+  const std::uint64_t begin_seq =
+      sub.recorder().enabled() ? sub.recorder().tick() : 0;
   const std::uint64_t id = sub.next_tx_id(s);
   tx.desc_ = sub.node_pool().create<lsa::TxDesc>(s, id, s,
                                                  runtime::TxClass::kLong);
@@ -163,7 +167,7 @@ LongTx& ThreadCtx::begin_long() {
     tx.rec_.thread_slot = s;
     tx.rec_.tx_class = runtime::TxClass::kLong;
     tx.rec_.zone = tx.zc_;
-    tx.rec_.begin_seq = sub.recorder().tick();
+    tx.rec_.begin_seq = begin_seq;
   }
   return tx;
 }
