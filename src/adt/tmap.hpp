@@ -3,14 +3,24 @@
 // Promoted from examples/tset.cpp's sorted linked list; the example is now
 // a thin client of adt::TSet.
 //
-// Structure: a fixed array of bucket sentinels, each heading a key-sorted
-// singly-linked list of nodes. Every node is one transactional object (a
-// Var<Node>), so conflict granularity is per node: operations on different
-// buckets never conflict, and operations in one bucket conflict only on
-// the nodes they traverse. All methods take the caller's transaction
-// handle, so several map operations (or several maps) compose into one
-// atomic transaction — the KV service's multi_get/transfer do exactly
-// that.
+// Structure: a fixed array of bucket heads, each the first link of a
+// key-sorted singly-linked list. Every head and every node is one
+// transactional object (a Var<Node>), so conflict granularity is per
+// object: operations on different buckets never conflict, and operations
+// in one bucket conflict only on the objects they traverse. All methods
+// take the caller's transaction handle, so several map operations (or
+// several maps) compose into one atomic transaction — the KV service's
+// multi_get/transfer do exactly that.
+//
+// Inline head: a bucket's head object holds the bucket's smallest entry
+// itself (`live` is false while the bucket is empty), and the chain behind
+// it holds only the other entries. A lookup that hits the head, or whose
+// key sorts below the head key, therefore costs one transactional read,
+// and an insert into an empty bucket allocates nothing. Invariants:
+// `!live ⇒ !has_next`, and keys strictly increase from the head through
+// the chain. Inserting a key below the head key moves the old head entry
+// into a fresh node; erasing the head entry pulls the first chain node's
+// entry up into the head (or clears `live` when there is none).
 //
 // Works with any façade: `S` may be a concrete `api::Stm<R>` (zero-cost,
 // the rewritten tset example) or `api::AnyStm` (runtime-selected variant,
@@ -20,13 +30,14 @@
 // copyable (the word-granularity tl2 backend stores payloads by words).
 //
 // Memory: nodes are allocated with `make_var` inside the inserting
-// transaction. A node unlinked by erase() stays owned by the runtime
-// (concurrent readers may still traverse it) and is reclaimed only at
-// runtime teardown — the same lifecycle the original example had. An
-// insert aborted mid-attempt would leak its fresh node to teardown too;
-// the `Scratch` parameter lets a retrying caller reuse one pre-allocated
-// node across attempts instead (the façade's retry loop re-runs the whole
-// body, so the scratch must live outside `run`).
+// transaction. A node unlinked by erase() — including the one whose entry
+// a head erase pulls up — stays owned by the runtime (concurrent readers
+// may still traverse it) and is reclaimed only at runtime teardown — the
+// same lifecycle the original example had. An insert aborted mid-attempt
+// would leak its fresh node to teardown too; the `Scratch` parameter lets
+// a retrying caller reuse one pre-allocated node across attempts instead
+// (the façade's retry loop re-runs the whole body, so the scratch must
+// live outside `run`).
 #pragma once
 
 #include <cstddef>
@@ -46,13 +57,16 @@ class TMap {
   struct Node;
   using NodeVar = typename S::template Var<Node>;
 
-  /// One transactional object per element. `has_next` stands in for a null
-  /// handle (the façades' Var types have no uniform null test).
+  /// One transactional object per bucket head and per chained element.
+  /// `has_next` stands in for a null handle (the façades' Var types have
+  /// no uniform null test); `live` is meaningful only in a head, where it
+  /// says whether the head holds an entry.
   struct Node {
     K key{};
     V value{};
     NodeVar next{};
     bool has_next = false;
+    bool live = false;
   };
 
   /// Optional insert scratch: lets a caller whose body retries reuse one
@@ -75,13 +89,12 @@ class TMap {
   template <typename Tx>
   std::optional<V> get(Tx& tx, const K& key) const {
     Node cur = tx.read(heads_[bucket_of(key)]);
-    while (cur.has_next) {
-      const Node nxt = tx.read(cur.next);
-      if (nxt.key == key) return nxt.value;
-      if (key < nxt.key) return std::nullopt;
-      cur = nxt;
+    if (!cur.live) return std::nullopt;
+    for (;;) {
+      if (cur.key == key) return cur.value;
+      if (key < cur.key || !cur.has_next) return std::nullopt;
+      cur = tx.read(cur.next);
     }
-    return std::nullopt;
   }
 
   template <typename Tx>
@@ -95,32 +108,29 @@ class TMap {
   bool put(Tx& tx, const K& key, const V& value, Scratch* scratch = nullptr) {
     NodeVar prev_var = heads_[bucket_of(key)];
     Node prev = tx.read(prev_var);
-    while (prev.has_next) {
-      const Node nxt = tx.read(prev.next);
-      if (nxt.key == key) {
-        tx.write(prev.next).value = value;
+    if (!prev.live) {
+      tx.write(prev_var, Node{key, value, {}, false, true});
+      return true;
+    }
+    if (key < prev.key) {
+      // The new key becomes the head entry; the old one moves into a node.
+      tx.write(prev_var,
+               Node{key, value, place(tx, prev, scratch), true, true});
+      return true;
+    }
+    for (;;) {
+      if (prev.key == key) {
+        tx.write(prev_var).value = value;
         return false;
       }
+      if (!prev.has_next) break;
+      const Node nxt = tx.read(prev.next);
       if (key < nxt.key) break;
       prev_var = prev.next;
       prev = nxt;
     }
-    Node fresh_node;
-    fresh_node.key = key;
-    fresh_node.value = value;
-    fresh_node.next = prev.next;
-    fresh_node.has_next = prev.has_next;
-    NodeVar fresh;
-    if (scratch != nullptr && scratch->allocated) {
-      fresh = scratch->node;
-      tx.write(fresh, fresh_node);
-    } else {
-      fresh = stm_->template make_var<Node>(fresh_node);
-      if (scratch != nullptr) {
-        scratch->node = fresh;
-        scratch->allocated = true;
-      }
-    }
+    const NodeVar fresh =
+        place(tx, Node{key, value, prev.next, prev.has_next, true}, scratch);
     Node& p = tx.write(prev_var);
     p.next = fresh;
     p.has_next = true;
@@ -133,6 +143,16 @@ class TMap {
   bool erase(Tx& tx, const K& key) {
     NodeVar prev_var = heads_[bucket_of(key)];
     Node prev = tx.read(prev_var);
+    if (!prev.live || key < prev.key) return false;
+    if (prev.key == key) {
+      if (prev.has_next) {
+        // Pull the first chain entry up into the head.
+        tx.write(prev_var, tx.read(prev.next));
+      } else {
+        tx.write(prev_var).live = false;
+      }
+      return true;
+    }
     while (prev.has_next) {
       const Node nxt = tx.read(prev.next);
       if (nxt.key == key) {
@@ -155,10 +175,11 @@ class TMap {
   void for_each(Tx& tx, Fn&& fn) const {
     for (const NodeVar& head : heads_) {
       Node cur = tx.read(head);
+      if (!cur.live) continue;
+      fn(cur.key, cur.value);
       while (cur.has_next) {
-        const Node nxt = tx.read(cur.next);
-        fn(nxt.key, nxt.value);
-        cur = nxt;
+        cur = tx.read(cur.next);
+        fn(cur.key, cur.value);
       }
     }
   }
@@ -169,19 +190,21 @@ class TMap {
   };
 
   /// Full structural walk: element count plus the intra-bucket sortedness
-  /// invariant (the example's long-transaction consistency check).
+  /// invariant (the example's long-transaction consistency check). An
+  /// empty head with a chain behind it also clears `sorted`.
   template <typename Tx>
   AuditResult audit(Tx& tx) const {
     AuditResult r;
     for (const NodeVar& head : heads_) {
       Node cur = tx.read(head);
-      bool first = true;
-      K last{};
+      if (!cur.live) {
+        if (cur.has_next) r.sorted = false;
+        continue;
+      }
+      ++r.size;
       while (cur.has_next) {
         const Node nxt = tx.read(cur.next);
-        if (!first && !(last < nxt.key)) r.sorted = false;
-        last = nxt.key;
-        first = false;
+        if (!(cur.key < nxt.key)) r.sorted = false;
         ++r.size;
         cur = nxt;
       }
@@ -190,6 +213,22 @@ class TMap {
   }
 
  private:
+  /// The node that will hold `n`: the scratch node when one was allocated
+  /// by an earlier attempt, else a fresh one (recorded in the scratch).
+  template <typename Tx>
+  NodeVar place(Tx& tx, const Node& n, Scratch* scratch) {
+    if (scratch != nullptr && scratch->allocated) {
+      tx.write(scratch->node, n);
+      return scratch->node;
+    }
+    const NodeVar fresh = stm_->template make_var<Node>(n);
+    if (scratch != nullptr) {
+      scratch->node = fresh;
+      scratch->allocated = true;
+    }
+    return fresh;
+  }
+
   std::size_t bucket_of(const K& key) const {
     // std::hash is identity for integers on common stdlibs; remix so that
     // adjacent keys spread across buckets.
