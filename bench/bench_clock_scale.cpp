@@ -2,13 +2,11 @@
 //
 // Two sections, both emitted into BENCH_clock_scale.json with --json:
 //
-//  * "stamp" — raw commit-stamp acquisition throughput for the four
+//  * "stamp" — raw commit-stamp acquisition throughput for the three
 //    timebase schemes, threads × scheme:
 //      global      GlobalCounter::acquire_commit_time (one fetch_add on a
 //                  single shared line — the §2 baseline every runtime
 //                  defaults to)
-//      cas-stride  GV5-style: read clock, one CAS to +stride, adopt the
-//                  winner's value on failure (tl2 Config::clock_scheme)
 //      batched     BatchedCounter: leases of k ticks, common case one CAS
 //                  on the slot's OWN padded line (lsa Config::time_base)
 //      sharded     ShardedClock exclusive layout: one single-writer lane
@@ -21,10 +19,9 @@
 //    on multi-core parts the shared-line RMW rate is what serializes.
 //
 //  * "bank" — the paper's §5.5 bank across all façade variants, baseline
-//    config vs "scaled" (batched timebase for the scalar runtimes, CAS
-//    clock for tl2, sharded ids everywhere), to show the options do not
-//    regress end-to-end behavior where the criterion forbids exploiting
-//    them fully.
+//    config vs "scaled" (batched timebase for the scalar runtimes, sharded
+//    ids everywhere), to show the options do not regress end-to-end
+//    behavior where the criterion forbids exploiting them fully.
 //
 // CLI: --json, --threads=1,2,4 (comma list), --duration-ms=150 (bank
 // cells), --skip-bank (stamp section only; CI uses the full run).
@@ -47,7 +44,6 @@ namespace zstm::bench {
 namespace {
 
 constexpr int kBatch = 64;
-constexpr int kStride = 2;
 constexpr std::uint64_t kOpsPerThread = 4'000'000;
 
 struct StampResult {
@@ -152,34 +148,6 @@ int run(int argc, char** argv) {
           .num("threads", threads)
           .num("batch", 0)
           .num("shards", 0)
-          .num("stride", 0)
-          .num("ops", r.ops)
-          .num("seconds", r.seconds)
-          .num("mops", r.mops)
-          .num("shared_rmws_per_op", r.shared_rmws_per_op);
-    }
-    // --- cas-stride: load + one CAS per stamp on the shared line; losers
-    // adopt the winner's value instead of retrying (tl2 GV5).
-    {
-      timebase::GlobalCounter gc;
-      StampResult r = run_stamp_loop(threads, [&](int) {
-        std::uint64_t cur = gc.now();
-        if (gc.try_advance_commit_time(cur, cur + kStride)) {
-          return cur + kStride;
-        }
-        return cur;  // adopt
-      });
-      r.shared_rmws_per_op = 1.0;  // one CAS per stamp (plus a shared load)
-      std::printf("%8d %-12s %10.1f %8llu %20.4f\n", threads, "cas-stride",
-                  r.mops, static_cast<unsigned long long>(r.ops),
-                  r.shared_rmws_per_op);
-      doc.row()
-          .str("section", "stamp")
-          .str("timebase", "cas-stride")
-          .num("threads", threads)
-          .num("batch", 0)
-          .num("shards", 0)
-          .num("stride", kStride)
           .num("ops", r.ops)
           .num("seconds", r.seconds)
           .num("mops", r.mops)
@@ -204,7 +172,6 @@ int run(int argc, char** argv) {
           .num("threads", threads)
           .num("batch", kBatch)
           .num("shards", 0)
-          .num("stride", 0)
           .num("ops", r.ops)
           .num("seconds", r.seconds)
           .num("mops", r.mops)
@@ -226,7 +193,6 @@ int run(int argc, char** argv) {
           .num("threads", threads)
           .num("batch", 0)
           .num("shards", clk.shards())
-          .num("stride", 0)
           .num("ops", r.ops)
           .num("seconds", r.seconds)
           .num("mops", r.mops)
@@ -248,7 +214,6 @@ int run(int argc, char** argv) {
           if (scaled) {
             cfg.time_base = timebase::TimeBaseKind::kBatchedCounter;
             cfg.timebase_batch = kBatch;
-            cfg.tl2_clock_stride = kStride;
             cfg.sharded_tx_ids = true;
           } else {
             cfg.sharded_tx_ids = false;  // pre-§10 behavior end to end
@@ -274,7 +239,6 @@ int run(int argc, char** argv) {
               .num("threads", threads)
               .num("batch", scaled ? kBatch : 0)
               .num("shards", 0)
-              .num("stride", scaled ? kStride : 0)
               .num("transfer_per_s", b.transfer_per_s)
               .num("compute_total_per_s", b.compute_total_per_s)
               .num("compute_total_failures", b.compute_total_failures);

@@ -15,8 +15,8 @@ import sys
 
 # String fields (e.g. `system`, `transport`, `phase`) are identity
 # automatically; these small integer knobs join them.
-ID_INT_FIELDS = {"threads", "r", "versions_kept", "batch", "shards", "stride",
-                 "rate", "io_threads", "conns"}
+ID_INT_FIELDS = {"threads", "r", "versions_kept", "batch", "shards", "rate",
+                 "io_threads", "conns"}
 
 
 def row_key(row):

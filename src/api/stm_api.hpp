@@ -186,10 +186,6 @@ struct CommonConfig {
   bool sharded_tx_ids = true;
   /// Object runtimes: EBR attempts a global epoch advance every Nth retire.
   int ebr_collect_period = 64;
-  /// tl2 only: 0 keeps the classic fetch_add commit clock (GV1); >= 1
-  /// selects the GV4/GV5-style single-CAS scheme with this stride
-  /// (documented false-abort cost, never correctness).
-  int tl2_clock_stride = 0;
   /// Façade-level: every N commits a thread makes, it also runs
   /// `maintain()` (S-STM's quiescent descriptor trim; a no-op elsewhere).
   /// This is the fallback trigger for callers without a housekeeping
@@ -579,10 +575,6 @@ struct Adapter<tl2::Runtime> {
     cfg.use_node_pool = c.use_node_pool;
     cfg.record_history = c.record_history;
     cfg.sharded_tx_ids = c.sharded_tx_ids;
-    if (c.tl2_clock_stride > 0) {
-      cfg.clock_scheme = tl2::ClockScheme::kCasStride;
-      cfg.clock_stride = c.tl2_clock_stride;
-    }
     return std::make_unique<Runtime>(cfg);
   }
   static std::unique_ptr<Ctx> attach(Runtime& rt) { return rt.attach(); }

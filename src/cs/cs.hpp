@@ -280,10 +280,6 @@ class RuntimeT {
     return store_.resolve(o, self, mode, slot);
   }
 
-  void settle(Object& o, Locator* seen, int slot) {
-    store_.settle(o, seen, slot);
-  }
-
   /// Validation core (Algorithm 1 lines 20-26): returns false if some read
   /// version has a committed successor whose stamp strictly precedes ct.
   bool validate(Tx& tx, int slot) {
@@ -500,44 +496,11 @@ runtime::Payload& RuntimeT<D>::Tx::write_object(Object& o) {
   RuntimeT& rt = ctx_.rt_;
   const int s = ctx_.slot();
 
-  util::Backoff bo;
-  std::uint32_t attempt = 0;
   for (;;) {
-    if (fault::poke(fault::Site::kCsAcquire) == fault::Effect::kAbort) {
-      fail(util::Counter::kAborts);
-    }
-    Locator* l = o.loc.load(std::memory_order_acquire);
-    if (l->writer != nullptr && l->writer != desc_) {
-      switch (l->writer->status()) {
-        case runtime::TxStatus::kCommitted:
-        case runtime::TxStatus::kAborted:
-          rt.settle(o, l, s);
-          continue;
-        case runtime::TxStatus::kCommitting:
-          bo.pause();
-          continue;
-        case runtime::TxStatus::kActive: {
-          // Lines 10-12: a single writer per object; the contention
-          // manager resolves the conflict.
-          const cm::Decision dec =
-              rt.cm_->arbitrate(*desc_, *l->writer, attempt++);
-          if (dec == cm::Decision::kAbortOther) {
-            if (l->writer->abort_by_enemy()) {
-              rt.stats_.add(s, util::Counter::kCmKills);
-              rt.settle(o, l, s);
-            }
-            continue;
-          }
-          if (dec == cm::Decision::kAbortSelf) fail(util::Counter::kAborts);
-          rt.stats_.add(s, util::Counter::kCmWaits);
-          desc_->set_waiting(true);
-          bo.pause();
-          desc_->set_waiting(false);
-          continue;
-        }
-      }
-      continue;
-    }
+    // Lines 10-12: a single writer per object; the contention manager
+    // resolves the conflict.
+    Locator* l = rt.store_.acquire(o, desc_, *rt.cm_, fault::Site::kCsAcquire,
+                                   s, [this] { fail(util::Counter::kAborts); });
     Version* base = l->committed;
     desc_->ct.merge(base->ct);  // line 8 applies to writes as well
     // The written version's stamp storage comes from the slab pool too

@@ -52,10 +52,10 @@ namespace zstm::fault {
 enum class Site : int {
   kStoreSettleCas = 0,  ///< ObjectStore::settle, before the locator CAS
   kStoreInstallCas,     ///< ObjectStore::install, before the locator CAS
-  kLsaAcquire,          ///< lsa::Tx::write_object arbitrate loop
-  kCsAcquire,           ///< cs RuntimeT::Tx::write_object arbitrate loop
-  kSstmAcquire,         ///< sstm::Tx::write_object arbitrate loop
-  kZlAcquire,           ///< zl::LongTx::acquire_ready_locator loop
+  kLsaAcquire,          ///< ObjectStore::acquire from lsa::Tx::write_object
+  kCsAcquire,           ///< ObjectStore::acquire from cs Tx::write_object
+  kSstmAcquire,         ///< ObjectStore::acquire from sstm::Tx::write_object
+  kZlAcquire,           ///< ObjectStore::acquire from zl::LongTx read/write
   kTl2StripeLock,       ///< tl2 commit: per-stripe lock acquisition
   kTl2Revalidate,       ///< tl2 commit: read-set revalidation
   kTimebaseLeaseFence,  ///< BatchedCounter::fence_after (delay only)

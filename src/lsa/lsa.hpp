@@ -327,12 +327,6 @@ class Runtime {
     return store_.resolve(o, self, mode, slot);
   }
 
-  /// Replace a finished (committed/aborted) writer's locator with a settled
-  /// one. Safe to call concurrently; no-op if the locator moved on.
-  void settle(Object& o, Locator* seen, int slot) {
-    store_.settle(o, seen, slot);
-  }
-
   /// Ownership release at transaction finish: settles until the locator no
   /// longer references `writer` (see ObjectStore::release for why a single
   /// settle is not enough under the settle-CAS failpoint).

@@ -193,55 +193,18 @@ inline NetLoadResult run_net_open_loop(const std::string& host,
     });
   }
 
-  // The pacer: identical schedule/mix/key machinery to run_open_loop.
-  util::Xorshift rng(cfg.seed);
-  util::Zipfian keys(cfg.keyspace, cfg.zipf_theta, cfg.seed ^ 0x5eedULL);
-  const double interval_ns = 1e9 / cfg.rate;
-  const std::uint64_t t0 = util::ProgressTracker::now_ns();
-  const std::uint64_t end =
-      t0 + static_cast<std::uint64_t>(
-               std::chrono::duration_cast<std::chrono::nanoseconds>(
-                   cfg.duration)
-                   .count());
-  double next = static_cast<double>(t0);
+  // The pacer: the same schedule/mix/key stream as run_open_loop. Service
+  // and wire op codes are equal by construction (tcp_server.cpp asserts it).
+  server::OpenLoopPacer pacer(cfg);
   std::size_t rr = 0;
-
-  while (static_cast<std::uint64_t>(next) < end) {
-    const std::uint64_t scheduled = static_cast<std::uint64_t>(next);
-    const std::uint64_t now = util::ProgressTracker::now_ns();
-    if (scheduled > now) {
-      std::this_thread::sleep_for(std::chrono::nanoseconds(scheduled - now));
-    }
-
+  for (server::Request sreq; pacer.next(sreq);) {
     wire::Request req;
-    req.req_id = scheduled;  // latency = receipt − req_id at the receiver
-    const double roll = rng.next_unit();
-    double acc = cfg.mix.put;
-    if (roll < acc) {
-      req.op = wire::Op::kPut;
-      req.key = keys.next();
-      req.value = cfg.put_value;
-    } else if (roll < (acc += cfg.mix.del)) {
-      req.op = wire::Op::kDel;
-      req.key = keys.next();
-    } else if (roll < (acc += cfg.mix.multi_get)) {
-      req.op = wire::Op::kMultiGet;
-      const std::uint64_t span =
-          cfg.keyspace > cfg.multi_fanout ? cfg.keyspace - cfg.multi_fanout : 1;
-      req.key = rng.next_below(span);
-      req.fanout = cfg.multi_fanout;
-    } else if (roll < (acc += cfg.mix.scan)) {
-      req.op = wire::Op::kScan;
-    } else if (roll < (acc += cfg.mix.transfer)) {
-      req.op = wire::Op::kTransfer;
-      req.key = keys.next();
-      req.key2 = keys.next();
-      if (req.key2 == req.key) req.key2 = (req.key + 1) % cfg.keyspace;
-      req.value = cfg.transfer_amount;
-    } else {
-      req.op = wire::Op::kGet;
-      req.key = keys.next();
-    }
+    req.op = static_cast<wire::Op>(sreq.op);
+    req.req_id = sreq.arrival_ns;  // latency = receipt − req_id at receiver
+    req.key = sreq.key;
+    req.key2 = sreq.key2;
+    req.value = sreq.value;
+    req.fanout = sreq.fanout;
 
     ++res.offered;
     std::uint8_t buf[wire::kReqFrame];
@@ -253,14 +216,6 @@ inline NetLoadResult run_net_open_loop(const std::string& host,
       ++res.io_errors;
     } else {
       ++res.client_shed;
-    }
-
-    if (cfg.poisson) {
-      double u = rng.next_unit();
-      if (u <= 1e-12) u = 1e-12;
-      next += -std::log(u) * interval_ns;
-    } else {
-      next += interval_ns;
     }
   }
 
@@ -309,7 +264,7 @@ inline NetLoadResult run_net_open_loop(const std::string& host,
       res.per_op[op].merge(st.per_op[op]);
     }
   }
-  res.elapsed_ns = util::ProgressTracker::now_ns() - t0;
+  res.elapsed_ns = util::ProgressTracker::now_ns() - pacer.start_ns();
   return res;
 }
 

@@ -11,6 +11,12 @@
 //                            locators along the way.
 //   * settle               — replace a finished writer's locator with a
 //                            settled one (CAS; loser frees its copy).
+//   * acquire              — open-for-write: loop until the object has no
+//                            foreign writer, settling finished writers and
+//                            arbitrating active ones through the contention
+//                            manager (CS-STM Algorithm 1 lines 10-12, Z-STM
+//                            Openlong lines 8-11). The one copy of the
+//                            writer-status/arbitrate switch.
 //   * install              — CAS a fresh writer locator in (encounter-time
 //                            ownership acquisition); memory order is a
 //                            parameter because Z-STM's zone protocol needs
@@ -52,6 +58,7 @@
 #include <mutex>
 #include <vector>
 
+#include "cm/contention_manager.hpp"
 #include "fault/failpoint.hpp"
 #include "object/node_pool.hpp"
 #include "object/versioned.hpp"
@@ -229,6 +236,55 @@ class ObjectStore {
         case runtime::TxStatus::kAborted:
           settle(o, l, slot);
           continue;
+      }
+    }
+  }
+
+  /// Open `o` for writing by `self`: returns a locator whose writer is null
+  /// or `self`, so the caller may clone `committed` and install() over it.
+  /// Every pass pokes `site` (the runtime's acquire failpoint); committed or
+  /// aborted writers are settled, a committing writer is waited out, and an
+  /// active writer is arbitrated through `cm` — a single writer per object,
+  /// the contention manager deciding (CS-STM Algorithm 1 lines 10-12, Z-STM
+  /// Openlong lines 8-11). `abort_self` must not return (it throws the
+  /// runtime's abort); it runs on an injected abort and on kAbortSelf.
+  /// `load_order` lets Z-STM's long transactions make the locator load
+  /// seq_cst (second half of the Dekker pair with their zone claim,
+  /// DESIGN.md §5.1).
+  template <typename AbortSelf>
+  Locator* acquire(Object& o, Desc* self, cm::ContentionManager& cm,
+                   fault::Site site, int slot, AbortSelf&& abort_self,
+                   std::memory_order load_order = std::memory_order_acquire) {
+    util::Backoff bo;
+    std::uint32_t attempt = 0;
+    for (;;) {
+      if (fault::poke(site) == fault::Effect::kAbort) abort_self();
+      Locator* l = o.loc.load(load_order);
+      if (l->writer == nullptr || l->writer == self) return l;
+      switch (l->writer->status()) {
+        case runtime::TxStatus::kCommitted:
+        case runtime::TxStatus::kAborted:
+          settle(o, l, slot);
+          continue;
+        case runtime::TxStatus::kCommitting:
+          bo.pause();  // short window; its outcome decides our base version
+          continue;
+        case runtime::TxStatus::kActive: {
+          const cm::Decision d = cm.arbitrate(*self, *l->writer, attempt++);
+          if (d == cm::Decision::kAbortOther) {
+            if (l->writer->abort_by_enemy()) {
+              stats_.add(slot, util::Counter::kCmKills);
+              settle(o, l, slot);
+            }
+            continue;
+          }
+          if (d == cm::Decision::kAbortSelf) abort_self();
+          stats_.add(slot, util::Counter::kCmWaits);
+          self->set_waiting(true);
+          bo.pause();
+          self->set_waiting(false);
+          continue;
+        }
       }
     }
   }

@@ -57,26 +57,34 @@ struct LoadGenResult {
   std::uint64_t elapsed_ns = 0;
 };
 
-/// Run the open-loop schedule against `svc` from the calling thread.
-/// Blocks for ~cfg.duration. The service must be start()ed.
-inline LoadGenResult run_open_loop(KvService& svc, const LoadGenConfig& cfg) {
-  LoadGenResult res;
-  if (cfg.rate <= 0.0 || cfg.keyspace == 0) return res;
+/// The arrival process both open-loop generators share (run_open_loop
+/// below and net::run_net_open_loop): owns the schedule, the op-mix rng and
+/// the Zipfian key stream. Each next() sleeps to the next scheduled arrival
+/// and draws that request; the sequence depends only on the config (seed
+/// included), never on timing. Requires cfg.rate > 0 and cfg.keyspace > 0.
+class OpenLoopPacer {
+ public:
+  explicit OpenLoopPacer(const LoadGenConfig& cfg)
+      : cfg_(cfg),
+        rng_(cfg.seed),
+        keys_(cfg.keyspace, cfg.zipf_theta, cfg.seed ^ 0x5eedULL),
+        interval_ns_(1e9 / cfg.rate),
+        t0_(util::ProgressTracker::now_ns()),
+        end_(t0_ + static_cast<std::uint64_t>(
+                       std::chrono::duration_cast<std::chrono::nanoseconds>(
+                           cfg.duration)
+                           .count())),
+        next_(static_cast<double>(t0_)) {}
 
-  util::Xorshift rng(cfg.seed);
-  util::Zipfian keys(cfg.keyspace, cfg.zipf_theta, cfg.seed ^ 0x5eedULL);
-  const double interval_ns = 1e9 / cfg.rate;
+  /// Schedule start, ProgressTracker::now_ns timebase.
+  std::uint64_t start_ns() const { return t0_; }
 
-  const std::uint64_t t0 = util::ProgressTracker::now_ns();
-  const std::uint64_t end =
-      t0 + static_cast<std::uint64_t>(
-               std::chrono::duration_cast<std::chrono::nanoseconds>(
-                   cfg.duration)
-                   .count());
-  double next = static_cast<double>(t0);
-
-  while (static_cast<std::uint64_t>(next) < end) {
-    const std::uint64_t scheduled = static_cast<std::uint64_t>(next);
+  /// Sleep until the next scheduled arrival and overwrite `req` with its
+  /// request, stamped with the SCHEDULED time in req.arrival_ns. Returns
+  /// false once the schedule has run past cfg.duration.
+  bool next(Request& req) {
+    if (static_cast<std::uint64_t>(next_) >= end_) return false;
+    const std::uint64_t scheduled = static_cast<std::uint64_t>(next_);
     const std::uint64_t now = util::ProgressTracker::now_ns();
     if (scheduled > now) {
       std::this_thread::sleep_for(std::chrono::nanoseconds(scheduled - now));
@@ -84,53 +92,74 @@ inline LoadGenResult run_open_loop(KvService& svc, const LoadGenConfig& cfg) {
     // Behind schedule: issue immediately (burst catch-up) — the scheduled
     // stamp keeps the accounting honest.
 
-    Request req;
+    req = Request{};
     req.arrival_ns = scheduled;
-    const double roll = rng.next_unit();
-    double acc = cfg.mix.put;
+    const double roll = rng_.next_unit();
+    double acc = cfg_.mix.put;
     if (roll < acc) {
       req.op = Op::kPut;
-      req.key = keys.next();
-      req.value = cfg.put_value;
-    } else if (roll < (acc += cfg.mix.del)) {
+      req.key = keys_.next();
+      req.value = cfg_.put_value;
+    } else if (roll < (acc += cfg_.mix.del)) {
       req.op = Op::kDel;
-      req.key = keys.next();
-    } else if (roll < (acc += cfg.mix.multi_get)) {
+      req.key = keys_.next();
+    } else if (roll < (acc += cfg_.mix.multi_get)) {
       req.op = Op::kMultiGet;
-      const std::uint64_t span =
-          cfg.keyspace > cfg.multi_fanout ? cfg.keyspace - cfg.multi_fanout : 1;
-      req.key = rng.next_below(span);  // window start: uniform, not skewed
-      req.fanout = cfg.multi_fanout;
-    } else if (roll < (acc += cfg.mix.scan)) {
+      const std::uint64_t span = cfg_.keyspace > cfg_.multi_fanout
+                                     ? cfg_.keyspace - cfg_.multi_fanout
+                                     : 1;
+      req.key = rng_.next_below(span);  // window start: uniform, not skewed
+      req.fanout = cfg_.multi_fanout;
+    } else if (roll < (acc += cfg_.mix.scan)) {
       req.op = Op::kScan;
-    } else if (roll < (acc += cfg.mix.transfer)) {
+    } else if (roll < (acc += cfg_.mix.transfer)) {
       req.op = Op::kTransfer;
-      req.key = keys.next();
-      req.key2 = keys.next();
-      if (req.key2 == req.key) req.key2 = (req.key + 1) % cfg.keyspace;
-      req.value = cfg.transfer_amount;
+      req.key = keys_.next();
+      req.key2 = keys_.next();
+      if (req.key2 == req.key) req.key2 = (req.key + 1) % cfg_.keyspace;
+      req.value = cfg_.transfer_amount;
     } else {
       req.op = Op::kGet;
-      req.key = keys.next();
+      req.key = keys_.next();
     }
 
+    if (cfg_.poisson) {
+      // Exponential interarrival: -ln(U) scaled to the mean spacing.
+      double u = rng_.next_unit();
+      if (u <= 1e-12) u = 1e-12;
+      next_ += -std::log(u) * interval_ns_;
+    } else {
+      next_ += interval_ns_;
+    }
+    return true;
+  }
+
+ private:
+  const LoadGenConfig cfg_;
+  util::Xorshift rng_;
+  util::Zipfian keys_;
+  const double interval_ns_;
+  const std::uint64_t t0_;
+  const std::uint64_t end_;
+  double next_;
+};
+
+/// Run the open-loop schedule against `svc` from the calling thread.
+/// Blocks for ~cfg.duration. The service must be start()ed.
+inline LoadGenResult run_open_loop(KvService& svc, const LoadGenConfig& cfg) {
+  LoadGenResult res;
+  if (cfg.rate <= 0.0 || cfg.keyspace == 0) return res;
+
+  OpenLoopPacer pacer(cfg);
+  for (Request req; pacer.next(req);) {
     ++res.offered;
     if (svc.submit(std::move(req))) {
       ++res.accepted;
     } else {
       ++res.shed;
     }
-
-    if (cfg.poisson) {
-      // Exponential interarrival: -ln(U) scaled to the mean spacing.
-      double u = rng.next_unit();
-      if (u <= 1e-12) u = 1e-12;
-      next += -std::log(u) * interval_ns;
-    } else {
-      next += interval_ns;
-    }
   }
-  res.elapsed_ns = util::ProgressTracker::now_ns() - t0;
+  res.elapsed_ns = util::ProgressTracker::now_ns() - pacer.start_ns();
   return res;
 }
 

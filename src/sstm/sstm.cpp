@@ -478,42 +478,10 @@ runtime::Payload& Tx::write_object(Object& o) {
   Runtime& rt = ctx_.rt_;
   const int s = ctx_.slot();
 
-  util::Backoff bo;
-  std::uint32_t attempt = 0;
   for (;;) {
-    if (fault::poke(fault::Site::kSstmAcquire) == fault::Effect::kAbort) {
-      fail(util::Counter::kAborts);
-    }
-    Locator* l = o.loc.load(std::memory_order_acquire);
-    if (l->writer != nullptr && l->writer != desc_) {
-      switch (l->writer->status()) {
-        case runtime::TxStatus::kCommitted:
-        case runtime::TxStatus::kAborted:
-          rt.settle(o, l, s);
-          continue;
-        case runtime::TxStatus::kCommitting:
-          bo.pause();
-          continue;
-        case runtime::TxStatus::kActive: {
-          const cm::Decision dec =
-              rt.cm_->arbitrate(*desc_, *l->writer, attempt++);
-          if (dec == cm::Decision::kAbortOther) {
-            if (l->writer->abort_by_enemy()) {
-              rt.stats_.add(s, util::Counter::kCmKills);
-              rt.settle(o, l, s);
-            }
-            continue;
-          }
-          if (dec == cm::Decision::kAbortSelf) fail(util::Counter::kAborts);
-          rt.stats_.add(s, util::Counter::kCmWaits);
-          desc_->set_waiting(true);
-          bo.pause();
-          desc_->set_waiting(false);
-          continue;
-        }
-      }
-      continue;
-    }
+    Locator* l = rt.store_.acquire(o, desc_, *rt.cm_,
+                                   fault::Site::kSstmAcquire, s,
+                                   [this] { fail(util::Counter::kAborts); });
     Version* base = l->committed;
     desc_->ct.merge(base->ct);
     absorb_past_readers(base);

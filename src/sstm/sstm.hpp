@@ -299,9 +299,6 @@ class Runtime {
   friend class ThreadCtx;
   friend class Tx;
 
-  void settle(Object& o, Locator* seen, int slot) {
-    store_.settle(o, seen, slot);
-  }
   Version* resolve(Object& o, const TxDesc* self, OnCommitting mode,
                    int slot) {
     return store_.resolve(o, self, mode, slot);

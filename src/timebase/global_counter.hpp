@@ -25,18 +25,6 @@ class GlobalCounter {
     return time_.value.fetch_add(1, std::memory_order_acq_rel) + 1;
   }
 
-  /// GV4/GV5-style relaxed acquisition (TL2 Config::clock_scheme): one
-  /// attempt to CAS the clock from `observed` to `desired`. On failure
-  /// `observed` is updated to the current (larger) clock value, which the
-  /// caller may *adopt* as its commit time instead of retrying — see
-  /// tl2.cpp step 3 for why sharing a commit time this way is sound there.
-  bool try_advance_commit_time(std::uint64_t& observed,
-                               std::uint64_t desired) {
-    return time_.value.compare_exchange_strong(observed, desired,
-                                               std::memory_order_acq_rel,
-                                               std::memory_order_acquire);
-  }
-
  private:
   util::Padded<std::atomic<std::uint64_t>> time_{};
 };

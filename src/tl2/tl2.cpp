@@ -277,57 +277,11 @@ void ThreadCtx::commit() {
     ++acquired;
   }
 
-  // 3. Commit time.
-  //
-  //    kFetchAdd (GV1): one fetch_add; wv is exclusively ours and the
-  //    wv == rv + 1 short-cut says nobody committed since begin.
-  //
-  //    kCasStride (GV4/GV5-style): read the clock *after* the stripes are
-  //    locked, then make ONE CAS attempt to advance it by the stride. A
-  //    loser adopts the winner's (strictly larger) value as its own commit
-  //    time instead of retrying, so a cohort of racing committers writes
-  //    the clock line once. Soundness:
-  //      * wv > rv always — the post-lock read `cur` satisfies cur >= rv
-  //        (gv is monotone and rv was sampled earlier), a CAS win yields
-  //        wv = cur + stride > rv, and a CAS loss updates cur to a value
-  //        another committer published, which is > the old cur >= rv.
-  //      * Stripes release at wv > rv >= every acquired stripe's version
-  //        (step 2 dooms any stripe newer than rv), so stripe versions
-  //        still increase monotonically.
-  //      * Two committers sharing an adopted wv have disjoint write sets
-  //        (both hold their stripes), and readers order against each via
-  //        the per-stripe seqlock, not the clock — same argument as TL2's
-  //        published GV4 variant.
-  //      * The post-lock read (not a CAS from rv itself) is what keeps the
-  //        skip-revalidation short-cut sound below; see DESIGN.md §10.
-  std::uint64_t wv;
-  bool skip_revalidation;
-  if (rt_.cfg_.clock_scheme == ClockScheme::kCasStride) {
-    const std::uint64_t stride =
-        rt_.cfg_.clock_stride > 0
-            ? static_cast<std::uint64_t>(rt_.cfg_.clock_stride)
-            : 1;
-    std::uint64_t cur = rt_.clock_.now();
-    if (rt_.clock_.try_advance_commit_time(cur, cur + stride)) {
-      wv = cur + stride;
-      // Safe to skip only when the clock still held rv at our CAS: then no
-      // committer can have acquired a stamp <= rv after we sampled rv (any
-      // adopter's post-lock read would have been >= rv with the clock
-      // pinned at rv until our own CAS moved it).
-      skip_revalidation = (cur == tx.rv_);
-    } else {
-      // Adoption: cur was reloaded by the failed CAS. Adopters never skip
-      // revalidation — a same-wv peer may have committed writes we read.
-      wv = cur;
-      skip_revalidation = false;
-      rt_.stats_.add(s, util::Counter::kClockAdopts);
-    }
-  } else {
-    wv = rt_.clock_.acquire_commit_time();
-    // Classic TL2 short-cut: wv == rv + 1 means no other transaction
-    // committed since begin and the snapshot is trivially still current.
-    skip_revalidation = (wv == tx.rv_ + 1);
-  }
+  // 3. Commit time (classic TL2 / GV1): one fetch_add; wv is exclusively
+  //    ours, and wv == rv + 1 means no other transaction committed since
+  //    begin, so the snapshot is trivially still current.
+  const std::uint64_t wv = rt_.clock_.acquire_commit_time();
+  const bool skip_revalidation = (wv == tx.rv_ + 1);
 
   // 4. Read-set revalidation.
   if (fault::poke(fault::Site::kTl2Revalidate) == fault::Effect::kAbort) {

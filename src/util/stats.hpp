@@ -39,7 +39,6 @@ enum class Counter : int {
   kPoolHits,         // node allocations served from a slab free list
   kPoolMisses,       // node allocations that hit the global heap (slab carve)
   kPoolReturns,      // cross-thread node releases routed via an MPSC stack
-  kClockAdopts,      // TL2 GV5: commit-time CAS lost, winner's value adopted
   kCount
 };
 

@@ -120,7 +120,8 @@ runtime::Payload& ShortTx::write_object(lsa::Object& o) {
 void ShortTx::verify_zone_after_write(lsa::Object& o) {
   Runtime& rt = ctx_.rt_;
   // seq_cst load after our seq_cst locator install (in lsa::Tx::
-  // write_object): pairs with LongTx::claim_zone + acquire_ready_locator.
+  // write_object): pairs with LongTx::claim_zone + the seq_cst locator load
+  // in ObjectStore::acquire.
   const std::uint64_t ozc = o.zc.load(std::memory_order_seq_cst);
   if (ozc == zc_) return;
   // A long transaction claimed this object between our zone check and our
@@ -286,8 +287,8 @@ void LongTx::abort() {
 }
 
 void LongTx::claim_zone(lsa::Object& o) {
-  // seq_cst: this store and the subsequent locator load in
-  // acquire_ready_locator form one half of a Dekker pair with short
+  // seq_cst: this store and the subsequent seq_cst locator load in
+  // ObjectStore::acquire form one half of a Dekker pair with short
   // transactions' locator-install + zone-re-check (ShortTx::
   // verify_zone_after_write). At least one side must observe the other or
   // a short could commit writes that straddle our snapshot frontier.
@@ -299,61 +300,11 @@ void LongTx::claim_zone(lsa::Object& o) {
       // beat us to the object — we were passed and must abort.
       ctx_.rt_.lsa_.stats_domain().add(ctx_.slot(),
                                        util::Counter::kZonePassed);
-      ctx_.abort_long_attempt();
-      throw TxAborted{};
+      abort();
     }
     if (o.zc.compare_exchange_weak(cur, zc_, std::memory_order_seq_cst)) {
       zone_claimed_ = true;
       return;  // line 7: oi.zc ← T.zc
-    }
-  }
-}
-
-lsa::Locator* LongTx::acquire_ready_locator(lsa::Object& o) {
-  lsa::Runtime& sub = ctx_.rt_.lsa_;
-  const int s = ctx_.slot();
-  util::Backoff bo;
-  std::uint32_t attempt = 0;
-  for (;;) {
-    if (fault::poke(fault::Site::kZlAcquire) == fault::Effect::kAbort) {
-      ctx_.abort_long_attempt();
-      throw TxAborted{};
-    }
-    // seq_cst: second half of the Dekker pair started in claim_zone.
-    lsa::Locator* l = o.loc.load(std::memory_order_seq_cst);
-    if (l->writer == nullptr || l->writer == desc_) return l;
-    switch (l->writer->status()) {
-      case runtime::TxStatus::kCommitted:
-      case runtime::TxStatus::kAborted:
-        sub.settle(o, l, s);
-        continue;
-      case runtime::TxStatus::kCommitting:
-        bo.pause();
-        continue;
-      case runtime::TxStatus::kActive: {
-        // Openlong lines 8-11: arbitrate with the current writer. A long
-        // transaction must not leave active writers behind on objects it
-        // reads — a short transaction that already owns the object could
-        // otherwise commit writes serialized both before and after us.
-        const cm::Decision dec =
-            sub.contention_manager().arbitrate(*desc_, *l->writer, attempt++);
-        if (dec == cm::Decision::kAbortOther) {
-          if (l->writer->abort_by_enemy()) {
-            sub.stats_domain().add(s, util::Counter::kCmKills);
-            sub.settle(o, l, s);
-          }
-          continue;
-        }
-        if (dec == cm::Decision::kAbortSelf) {
-          ctx_.abort_long_attempt();
-          throw TxAborted{};
-        }
-        sub.stats_domain().add(s, util::Counter::kCmWaits);
-        desc_->set_waiting(true);
-        bo.pause();
-        desc_->set_waiting(false);
-        continue;
-      }
     }
   }
 }
@@ -373,7 +324,14 @@ const runtime::Payload& LongTx::read_object(lsa::Object& o) {
   sub.stats_domain().add(s, util::Counter::kReads);
 
   claim_zone(o);
-  lsa::Locator* l = acquire_ready_locator(o);
+  // Openlong lines 8-11: arbitrate away any current writer. A long
+  // transaction must not leave active writers behind on objects it reads —
+  // a short transaction that already owns the object could otherwise commit
+  // writes serialized both before and after us. seq_cst: second half of the
+  // Dekker pair started in claim_zone.
+  lsa::Locator* l = sub.store().acquire(
+      o, desc_, sub.contention_manager(), fault::Site::kZlAcquire, s,
+      [this] { abort(); }, std::memory_order_seq_cst);
   // The paper's Openlong is one atomic step; in our implementation a short
   // transaction can adopt our zone (it read o.zc after our claim), commit
   // a write to o, and only then do we load the version — returning state
@@ -388,8 +346,7 @@ const runtime::Payload& LongTx::read_object(lsa::Object& o) {
     // current: we cannot recover a consistent pre-claim state.
     if (v == nullptr) sub.store().note_too_old(o, s);
     sub.stats_domain().add(s, util::Counter::kZonePassed);
-    ctx_.abort_long_attempt();
-    throw TxAborted{};
+    abort();
   }
   if (sub.recorder().enabled()) rec_.reads.push_back({o.oid, v->vid});
   return *v->data;
@@ -402,14 +359,15 @@ runtime::Payload& LongTx::write_object(lsa::Object& o) {
 
   claim_zone(o);
   for (;;) {
-    lsa::Locator* l = acquire_ready_locator(o);
+    lsa::Locator* l = sub.store().acquire(
+        o, desc_, sub.contention_manager(), fault::Site::kZlAcquire, s,
+        [this] { abort(); }, std::memory_order_seq_cst);
     lsa::Version* base = l->committed;
     if (base->zone >= zc_) {
       // A commit from our own zone (serialized after us) or a later long
       // is already current: our write can no longer be inserted before it.
       sub.stats_domain().add(s, util::Counter::kZoneConflicts);
-      ctx_.abort_long_attempt();
-      throw TxAborted{};
+      abort();
     }
     lsa::Version* tent = sub.store().clone_version(s, *base->data);
     tent->prev.store(base, std::memory_order_relaxed);

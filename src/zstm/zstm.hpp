@@ -92,9 +92,6 @@ class LongTx {
 
   /// Openlong lines 6-7 and 19-21: raise o.zc to T.zc or abort if passed.
   void claim_zone(lsa::Object& o);
-  /// Openlong lines 8-11: arbitrate away any current writer; returns a
-  /// locator whose writer is null or ourselves.
-  lsa::Locator* acquire_ready_locator(lsa::Object& o);
   lsa::WriteEntry* find_write(const lsa::Object& o);
 
   ThreadCtx& ctx_;

@@ -176,14 +176,13 @@ TEST(HistoryConformance, EveryVariantSatisfiesItsCriterion) {
 }
 
 TEST(HistoryConformance, EveryVariantSatisfiesItsCriterionUnderNewTimebases) {
-  // PR 7 timebase matrix: rerun the full criterion battery with the
-  // scalable-timebase options on — batched commit stamps for the scalar
+  // Timebase matrix (DESIGN.md §10): rerun the full criterion battery with
+  // the scalable-timebase options on — batched commit stamps for the scalar
   // runtimes (lsa, lsa-nors, zl; small batch so leases roll over and the
-  // commit fence actually revokes them mid-run), the GV5-style CAS clock
-  // for tl2 (small stride, adoption exercised by contention), and
-  // topology-sharded ids everywhere. Every criterion must hold exactly as
-  // under the default global counter — these options trade performance,
-  // never admissible histories.
+  // commit fence actually revokes them mid-run) and topology-sharded ids
+  // everywhere. Every criterion must hold exactly as under the default
+  // global counter — these options trade performance, never admissible
+  // histories.
   const std::uint64_t seed = harness_seed() ^ 0xBA7C4ull;
   const int rounds = test_env::stress_rounds(250);
 
@@ -197,7 +196,6 @@ TEST(HistoryConformance, EveryVariantSatisfiesItsCriterionUnderNewTimebases) {
     cfg.sharded_tx_ids = true;
     cfg.time_base = timebase::TimeBaseKind::kBatchedCounter;
     cfg.timebase_batch = 4;
-    cfg.tl2_clock_stride = 3;
     cfg.ebr_collect_period = 8;
 
     api::visit_variant(name, cfg, [&](auto tag, const char*, CommonConfig c) {

@@ -1,13 +1,19 @@
 // Unit tests for the shared versioned-object substrate (src/object/):
 // chain walking, locator settling, prune-vs-pinned-reader interaction
-// through EBR, and the adaptive-retention grow/decay transitions.
+// through EBR, the adaptive-retention grow/decay transitions, and the
+// open-for-write acquire loop against a scripted contention manager.
 //
 // CTest label: `unit` (DESIGN.md §6).
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
+#include "cm/contention_manager.hpp"
+#include "fault/failpoint.hpp"
 #include "object/object_store.hpp"
 #include "runtime/payload.hpp"
 #include "runtime/txdesc.hpp"
@@ -319,6 +325,203 @@ TEST(ObjectStore, FixedModeIgnoresTooOldFeedback) {
   rig.store.note_too_old(*o, s);
   EXPECT_EQ(rig.store.kept_bound(*o), 4u);
   EXPECT_EQ(rig.stats.snapshot()[util::Counter::kRetentionGrows], 0u);
+}
+
+// --- ObjectStore::acquire -------------------------------------------------
+
+/// Replays a fixed list of decisions and records what each arbitrate call
+/// saw. Running past the script throws, so a loop that arbitrates more often
+/// than expected fails the test instead of hanging it.
+class ScriptedCm final : public cm::ContentionManager {
+ public:
+  explicit ScriptedCm(std::vector<cm::Decision> script = {})
+      : script_(std::move(script)) {}
+
+  cm::Decision arbitrate(const runtime::TxDescBase& me,
+                         const runtime::TxDescBase&,
+                         std::uint32_t attempt) override {
+    attempts.push_back(attempt);
+    requester_waiting.push_back(me.waiting());
+    if (attempts.size() > script_.size()) {
+      throw std::logic_error("arbitrate called past the script");
+    }
+    return script_[attempts.size() - 1];
+  }
+  std::string name() const override { return "scripted"; }
+
+  std::vector<std::uint32_t> attempts;
+  std::vector<bool> requester_waiting;
+
+ private:
+  std::vector<cm::Decision> script_;
+};
+
+struct SelfAborted {};
+
+/// Disarms every failpoint when a test that armed some ends.
+struct FailpointReset {
+  ~FailpointReset() { fault::registry().disarm_all(); }
+};
+
+constexpr fault::Site kSite = fault::Site::kCsAcquire;
+
+Locator* acquire(Rig& rig, Object& o, TestDesc& self, ScriptedCm& cm,
+                 int slot) {
+  return rig.store.acquire(o, &self, cm, kSite, slot,
+                           [] { throw SelfAborted{}; });
+}
+
+/// Installs an active writer `d` on `o` (a tentative copy of the current
+/// version) and returns the base version under it.
+Version* install_writer(Rig& rig, Object& o, TestDesc& d, int slot) {
+  Locator* l = o.loc.load(std::memory_order_acquire);
+  const runtime::TypedPayload<long> pv(99);
+  Version* tent = rig.store.clone_version(slot, pv);
+  tent->prev.store(l->committed, std::memory_order_relaxed);
+  EXPECT_TRUE(rig.store.install(o, l, &d, tent, slot));
+  return l->committed;
+}
+
+TEST(ObjectStoreAcquire, ReturnsAtOnceWithoutForeignWriter) {
+  Rig rig(fixed_policy(8));
+  auto reg = rig.registry.attach();
+  const int s = reg.slot();
+  Object* o = rig.store.allocate(new runtime::TypedPayload<long>(0));
+  TestDesc self(1, s, runtime::TxClass::kShort);
+  ScriptedCm cm;
+
+  Locator* settled = o->loc.load(std::memory_order_acquire);
+  EXPECT_EQ(acquire(rig, *o, self, cm, s), settled);  // no writer
+
+  install_writer(rig, *o, self, s);
+  Locator* own = o->loc.load(std::memory_order_acquire);
+  EXPECT_EQ(acquire(rig, *o, self, cm, s), own);  // our own writer
+  EXPECT_TRUE(cm.attempts.empty());
+
+  self.finish_abort();
+  rig.store.release(*o, &self, s);
+}
+
+TEST(ObjectStoreAcquire, SettlesCommittedWriter) {
+  Rig rig(fixed_policy(8));
+  auto reg = rig.registry.attach();
+  const int s = reg.slot();
+  Object* o = rig.store.allocate(new runtime::TypedPayload<long>(0));
+  TestDesc other(1, s, runtime::TxClass::kShort);
+  TestDesc self(2, s, runtime::TxClass::kShort);
+  ScriptedCm cm;
+
+  install_writer(rig, *o, other, s);
+  Version* tent = o->loc.load(std::memory_order_acquire)->tentative;
+  other.finish_commit();
+
+  Locator* l = acquire(rig, *o, self, cm, s);
+  EXPECT_EQ(l, o->loc.load(std::memory_order_acquire));  // the new locator
+  EXPECT_EQ(l->writer, nullptr);
+  EXPECT_EQ(l->committed, tent);  // the writer's version became current
+  EXPECT_TRUE(cm.attempts.empty());
+}
+
+TEST(ObjectStoreAcquire, SettlesAbortedWriter) {
+  Rig rig(fixed_policy(8));
+  auto reg = rig.registry.attach();
+  const int s = reg.slot();
+  Object* o = rig.store.allocate(new runtime::TypedPayload<long>(0));
+  TestDesc other(1, s, runtime::TxClass::kShort);
+  TestDesc self(2, s, runtime::TxClass::kShort);
+  ScriptedCm cm;
+
+  Version* base = install_writer(rig, *o, other, s);
+  other.finish_abort();
+
+  Locator* l = acquire(rig, *o, self, cm, s);
+  EXPECT_EQ(l, o->loc.load(std::memory_order_acquire));
+  EXPECT_EQ(l->writer, nullptr);
+  EXPECT_EQ(l->committed, base);  // the tentative version never published
+  EXPECT_TRUE(cm.attempts.empty());
+}
+
+TEST(ObjectStoreAcquire, AbortOtherKillsAndSettlesInTheSamePass) {
+  FailpointReset reset;
+  Rig rig(fixed_policy(8));
+  auto reg = rig.registry.attach();
+  const int s = reg.slot();
+  Object* o = rig.store.allocate(new runtime::TypedPayload<long>(0));
+  TestDesc other(1, s, runtime::TxClass::kShort);
+  TestDesc self(2, s, runtime::TxClass::kShort);
+  ScriptedCm cm({cm::Decision::kAbortOther});
+
+  Version* base = install_writer(rig, *o, other, s);
+  // Armed at probability 0: never fires, but counts the loop's passes.
+  ASSERT_TRUE(fault::registry().arm(kSite, 0.0));
+
+  Locator* l = acquire(rig, *o, self, cm, s);
+  EXPECT_EQ(other.status(), runtime::TxStatus::kAborted);
+  EXPECT_EQ(l->writer, nullptr);
+  EXPECT_EQ(l->committed, base);
+  EXPECT_EQ(rig.stats.snapshot()[util::Counter::kCmKills], 1u);
+  EXPECT_EQ(cm.attempts.size(), 1u);
+  // The killer settles the victim's locator itself: arbitrate-and-kill,
+  // then one more pass that finds the object free.
+  EXPECT_EQ(fault::registry().hits(kSite), 2u);
+}
+
+TEST(ObjectStoreAcquire, AbortSelfInvokesTheAbortPath) {
+  Rig rig(fixed_policy(8));
+  auto reg = rig.registry.attach();
+  const int s = reg.slot();
+  Object* o = rig.store.allocate(new runtime::TypedPayload<long>(0));
+  TestDesc other(1, s, runtime::TxClass::kShort);
+  TestDesc self(2, s, runtime::TxClass::kShort);
+  ScriptedCm cm({cm::Decision::kAbortSelf});
+
+  install_writer(rig, *o, other, s);
+  EXPECT_THROW(acquire(rig, *o, self, cm, s), SelfAborted);
+  EXPECT_EQ(other.status(), runtime::TxStatus::kActive);  // not killed
+  EXPECT_EQ(rig.stats.snapshot()[util::Counter::kCmKills], 0u);
+
+  other.finish_abort();
+  rig.store.release(*o, &other, s);
+}
+
+TEST(ObjectStoreAcquire, WaitCountsAndClearsWaitingBeforeRetrying) {
+  Rig rig(fixed_policy(8));
+  auto reg = rig.registry.attach();
+  const int s = reg.slot();
+  Object* o = rig.store.allocate(new runtime::TypedPayload<long>(0));
+  TestDesc other(1, s, runtime::TxClass::kShort);
+  TestDesc self(2, s, runtime::TxClass::kShort);
+  ScriptedCm cm({cm::Decision::kWait, cm::Decision::kAbortOther});
+
+  install_writer(rig, *o, other, s);
+  Locator* l = acquire(rig, *o, self, cm, s);
+  EXPECT_EQ(l->writer, nullptr);
+  EXPECT_EQ(rig.stats.snapshot()[util::Counter::kCmWaits], 1u);
+  EXPECT_EQ(rig.stats.snapshot()[util::Counter::kCmKills], 1u);
+  // The same conflict is re-examined with a growing attempt count, and the
+  // requester is not left flagged as waiting at any arbitration or after.
+  EXPECT_EQ(cm.attempts, (std::vector<std::uint32_t>{0, 1}));
+  EXPECT_EQ(cm.requester_waiting, (std::vector<bool>{false, false}));
+  EXPECT_FALSE(self.waiting());
+}
+
+TEST(ObjectStoreAcquire, InjectedAbortFiresOnlyAtThePassedSite) {
+  FailpointReset reset;
+  Rig rig(fixed_policy(8));
+  auto reg = rig.registry.attach();
+  const int s = reg.slot();
+  Object* o = rig.store.allocate(new runtime::TypedPayload<long>(0));
+  TestDesc self(1, s, runtime::TxClass::kShort);
+  ScriptedCm cm;
+
+  // Another runtime's acquire site, armed at probability 0, only counts.
+  ASSERT_TRUE(fault::registry().arm(fault::Site::kLsaAcquire, 0.0));
+  ASSERT_TRUE(fault::registry().arm(kSite, 1.0, 0, fault::Effect::kAbort));
+
+  EXPECT_THROW(acquire(rig, *o, self, cm, s), SelfAborted);
+  EXPECT_EQ(fault::registry().triggers(kSite), 1u);
+  EXPECT_EQ(fault::registry().hits(fault::Site::kLsaAcquire), 0u);
+  EXPECT_TRUE(cm.attempts.empty());
 }
 
 }  // namespace
