@@ -55,7 +55,6 @@
 #include <cstring>
 #include <memory>
 #include <mutex>
-#include <shared_mutex>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -71,6 +70,7 @@
 #include "sstm/sstm.hpp"
 #include "tl2/tl2.hpp"
 #include "util/backoff.hpp"
+#include "util/serial_gate.hpp"
 #include "util/stats.hpp"
 #include "zstm/zstm.hpp"
 
@@ -125,8 +125,9 @@ inline const char* to_string(TxKind k) {
 ///      transaction is waiting on when threads outnumber cores).
 ///   3. From `serial_after` aborted attempts on, the final rung: the
 ///      transaction takes the Stm's global serial-irrevocable token
-///      (HTM-fallback style). Acquiring the token exclusively waits out
-///      every in-flight attempt; ordinary attempts share the token, so they
+///      (HTM-fallback style, a util::SerialGate). Acquiring the token
+///      exclusively waits out every in-flight attempt; ordinary attempts
+///      share the token, each by raising its own slot's flag, so they
 ///      proceed concurrently when no one holds it exclusively. The holder
 ///      runs without façade rivals and with fault injection suppressed, so
 ///      it eventually commits — the façade-level guarantee that no
@@ -139,7 +140,8 @@ inline const char* to_string(TxKind k) {
 /// instead of escalating past it.
 ///
 /// Not supported (unchanged from before): nested `run` calls on the same
-/// Stm — with serialization enabled they would self-deadlock on the token.
+/// Stm — with serialization enabled an inner attempt would self-deadlock
+/// on a held token, or clear the outer attempt's shared flag on exit.
 struct RetryPolicy {
   /// Give up (committed == false) after this many aborted attempts;
   /// 0 = retry until commit. A nonzero per-call budget overrides this.
@@ -621,7 +623,7 @@ class Stm {
   explicit Stm(CommonConfig cfg = {})
       : cfg_(cfg),
         rt_(Adapter::create(cfg)),
-        shared_(std::make_shared<Shared>()),
+        shared_(std::make_shared<Shared>(cfg.max_threads)),
         progress_(std::make_unique<util::ProgressTracker>(cfg.max_threads)),
         maint_counters_(cfg.maintain_every != 0
                             ? static_cast<std::size_t>(cfg.max_threads)
@@ -722,7 +724,7 @@ class Stm {
   /// gate disabled a forced call degrades to the opportunistic one.
   MaintainResult maintain(bool force = false) {
     if (force && serial_after_ != 0) {
-      std::unique_lock<std::shared_mutex> drain(shared_->serial_gate);
+      std::lock_guard<util::SerialGate> drain(shared_->serial_gate);
       return detail::maintain_or_default<Adapter>(*rt_);
     }
     return detail::maintain_or_default<Adapter>(*rt_);
@@ -734,14 +736,17 @@ class Stm {
   /// Control block shared between the Stm and every thread's cached ctx
   /// entry: lets whichever dies first (thread or Stm) clean up safely.
   struct Shared {
+    explicit Shared(int slots) : serial_gate(slots) {}
+
     std::mutex mu;
     std::atomic<bool> dead{false};
     std::vector<Entry*> entries;
     /// The serial-irrevocable token (RetryPolicy rung 3). Ordinary attempts
-    /// hold it shared (only taken when the rung is enabled — an uncontended
-    /// shared_mutex op per attempt); an escalated transaction holds it
-    /// exclusive, which drains every in-flight attempt first.
-    std::shared_mutex serial_gate;
+    /// hold it shared (only taken when the rung is enabled — a store to the
+    /// slot's own flag and a load of the shared writer flag per attempt);
+    /// an escalated transaction holds it exclusive, which drains every
+    /// in-flight attempt first.
+    util::SerialGate serial_gate;
   };
 
   struct Entry {
@@ -867,7 +872,7 @@ class Stm {
         // façade — and those cannot do so forever, since each such abort
         // consumes one of THEIR protocol steps; in the common all-façade
         // case the first serial attempt commits.
-        std::unique_lock<std::shared_mutex> serial(shared_->serial_gate);
+        std::unique_lock<util::SerialGate> serial(shared_->serial_gate);
         fault::SuppressGuard suppress;
         watch.note_serial(slot);
         for (;; ++attempt) {
@@ -884,7 +889,7 @@ class Stm {
       }
       bool committed;
       if (serial_after_ != 0) {
-        std::shared_lock<std::shared_mutex> gate(shared_->serial_gate);
+        util::SerialGate::SharedGuard gate(shared_->serial_gate, slot);
         committed = attempt_once(ctx, kind, body, carried);
       } else {
         committed = attempt_once(ctx, kind, body, carried);

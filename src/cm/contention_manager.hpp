@@ -7,7 +7,8 @@
 //
 // The manager only *decides*; the caller performs the decision (enemy abort
 // via TxDescBase::abort_by_enemy, waiting via Backoff, or self-abort), so a
-// policy can never corrupt protocol state.
+// policy can never corrupt protocol state. Its one piece of state is the
+// start-tick sequence that the start-ordered policies compare.
 #pragma once
 
 #include <cstdint>
@@ -15,6 +16,7 @@
 #include <string>
 
 #include "runtime/txdesc.hpp"
+#include "util/align.hpp"
 
 namespace zstm::cm {
 
@@ -46,6 +48,28 @@ class ContentionManager {
                              std::uint32_t attempt) = 0;
 
   virtual std::string name() const = 0;
+
+  /// True for the policies that arbitrate by start time (Timestamp,
+  /// Greedy). Only they read TxDescBase::start_ticks, so only under them
+  /// does a beginning transaction draw a tick from the shared counter.
+  bool orders_by_start() const { return orders_by_start_; }
+
+  /// The start tick a fresh descriptor carries: the next value (from 1) of
+  /// this manager's sequence when the policy orders by start time, else 0
+  /// without touching the counter — every other policy leaves the begin
+  /// path free of that shared write.
+  std::uint64_t start_tick() {
+    if (!orders_by_start_) return 0;
+    return ticks_.value.fetch_add(1, std::memory_order_relaxed) + 1;
+  }
+
+ protected:
+  explicit ContentionManager(bool orders_by_start = false)
+      : orders_by_start_(orders_by_start) {}
+
+ private:
+  const bool orders_by_start_;
+  util::PaddedCounter ticks_;
 };
 
 enum class Policy {

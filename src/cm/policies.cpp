@@ -59,6 +59,8 @@ class Timestamp final : public ContentionManager {
  public:
   static constexpr std::uint32_t kMaxEpisodes = 16;
 
+  Timestamp() : ContentionManager(/*orders_by_start=*/true) {}
+
   Decision arbitrate(const runtime::TxDescBase& me,
                      const runtime::TxDescBase& other,
                      std::uint32_t attempt) override {
@@ -77,6 +79,8 @@ class Timestamp final : public ContentionManager {
 /// decide-only framework lets the caller discover that.
 class Greedy final : public ContentionManager {
  public:
+  Greedy() : ContentionManager(/*orders_by_start=*/true) {}
+
   Decision arbitrate(const runtime::TxDescBase& me,
                      const runtime::TxDescBase& other,
                      std::uint32_t) override {

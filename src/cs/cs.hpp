@@ -352,7 +352,6 @@ class RuntimeT {
   history::Recorder recorder_;
   std::unique_ptr<cm::ContentionManager> cm_;
   util::PaddedCounter tx_ids_;
-  util::PaddedCounter ticks_;
   timebase::ShardedClock id_clock_;
   bool sharded_ids_;
   /// Recycled per-slot TxDesc stamp buffers (see take_spare_stamp).
@@ -376,8 +375,7 @@ typename RuntimeT<D>::Tx& RuntimeT<D>::ThreadCtx::begin() {
   ct = vcp_;
   tx_.desc_ =
       rt_.pool_.template create<TxDesc>(slot(), id, slot(), std::move(ct));
-  tx_.desc_->set_start_ticks(
-      rt_.ticks_.value.fetch_add(1, std::memory_order_relaxed));
+  tx_.desc_->set_start_ticks(rt_.cm_->start_tick());
   epoch_guard_ = rt_.epochs_.pin_guard(slot());
   tx_.read_set_.clear();
   tx_.write_set_.clear();

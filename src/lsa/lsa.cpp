@@ -96,7 +96,7 @@ Tx& ThreadCtx::begin(bool read_only) {
   next_tx_id_ = rt_.next_tx_id(slot());
   tx.desc_ = rt_.pool_.create<TxDesc>(slot(), next_tx_id_, slot(),
                                       runtime::TxClass::kShort);
-  tx.desc_->set_start_ticks(rt_.next_tick());
+  tx.desc_->set_start_ticks(rt_.cm_->start_tick());
   epoch_guard_ = rt_.epochs_.pin_guard(slot());
   tx.lb_ = 0;
   tx.ub_ = rt_.timebase_.now_snapshot(slot());

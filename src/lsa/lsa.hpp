@@ -357,9 +357,6 @@ class Runtime {
   history::Recorder& recorder() { return recorder_; }
   timebase::ScalarTimeBase& time_base() { return timebase_; }
   cm::ContentionManager& contention_manager() { return *cm_; }
-  std::uint64_t next_tick() {
-    return ticks_.value.fetch_add(1, std::memory_order_relaxed);
-  }
   /// Globally unique transaction id (shared with Z-STM's long transactions
   /// so ids never collide across transaction classes). Ids are identity
   /// only — nothing orders by them — so under Config::sharded_tx_ids they
@@ -385,7 +382,6 @@ class Runtime {
   history::Recorder recorder_;
   timebase::ScalarTimeBase timebase_;
   std::unique_ptr<cm::ContentionManager> cm_;
-  util::PaddedCounter ticks_;  // CM start-time ordering
   util::PaddedCounter tx_ids_;
   timebase::ShardedClock id_clock_;
   bool sharded_ids_;

@@ -142,7 +142,9 @@ class KvService {
   KvStore& store() { return store_; }
 
  private:
-  struct WorkerState {
+  /// Written by its worker on every op; aligned so that neighbours in
+  /// wstate_ never share a cache line.
+  struct alignas(util::kCacheLine) WorkerState {
     std::array<util::LatencyHistogram, kOpCount> hist;
     std::atomic<std::uint64_t> completed{0};
   };

@@ -173,8 +173,7 @@ Tx& ThreadCtx::begin() {
   if (in_transaction()) abort_attempt();
   tx_.desc_ = rt_.allocate_desc(slot());
   tx_.desc_->ct = vcp_;  // T.ct starts from the thread's last committed stamp
-  tx_.desc_->set_start_ticks(
-      rt_.ticks_.value.fetch_add(1, std::memory_order_relaxed));
+  tx_.desc_->set_start_ticks(rt_.cm_->start_tick());
   epoch_guard_ = rt_.epochs_.pin_guard(slot());
   tx_.read_set_.clear();
   tx_.write_set_.clear();

@@ -320,7 +320,6 @@ class Runtime {
   history::Recorder recorder_;
   std::unique_ptr<cm::ContentionManager> cm_;
   util::PaddedCounter tx_ids_;
-  util::PaddedCounter ticks_;
   timebase::ShardedClock id_clock_;
   bool sharded_ids_;
 

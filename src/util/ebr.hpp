@@ -113,12 +113,10 @@ class EpochManager {
   std::uint64_t global_epoch() const {
     return global_epoch_.value.load(std::memory_order_acquire);
   }
-  std::uint64_t retired_count() const {
-    return retired_total_.value.load(std::memory_order_relaxed);
-  }
-  std::uint64_t freed_count() const {
-    return freed_total_.value.load(std::memory_order_relaxed);
-  }
+  /// Nodes retired / freed so far, summed over the slots (exact once the
+  /// retiring threads have stopped; a racy-but-safe sum while they run).
+  std::uint64_t retired_count() const;
+  std::uint64_t freed_count() const;
 
  private:
   struct Retired {
@@ -134,6 +132,12 @@ class EpochManager {
     int nesting = 0;
     /// Retire counter since the last collect(); owner-only.
     int since_collect = 0;
+    /// Lifetime retire/free counts for this slot. Only the slot's owner
+    /// writes them (drain_all runs single-threaded), so they are bumped by a
+    /// plain load and store on the owner's line, never a shared RMW; they
+    /// are atomic only for the cross-thread sums.
+    std::atomic<std::uint64_t> retired{0};
+    std::atomic<std::uint64_t> freed{0};
   };
 
   static constexpr std::uint64_t kQuiescent = ~std::uint64_t{0};
@@ -149,10 +153,6 @@ class EpochManager {
   std::vector<SlotState> slots_;
   // Garbage lists are single-owner; one vector per slot, padded apart.
   std::vector<Padded<std::vector<Retired>>> garbage_;
-  // Every retire/free touches these; padded so the two write-hot words do
-  // not share a line with each other or with neighbors.
-  PaddedCounter retired_total_;
-  PaddedCounter freed_total_;
 };
 
 }  // namespace zstm::util

@@ -156,7 +156,7 @@ LongTx& ThreadCtx::begin_long() {
   const std::uint64_t id = sub.next_tx_id(s);
   tx.desc_ = sub.node_pool().create<lsa::TxDesc>(s, id, s,
                                                  runtime::TxClass::kLong);
-  tx.desc_->set_start_ticks(sub.next_tick());
+  tx.desc_->set_start_ticks(sub.contention_manager().start_tick());
   long_epoch_guard_ = sub.epochs().pin_guard(s);
   // Startlong line 3: T.zc ← ++ZC — a fresh, unique zone number.
   tx.zc_ = rt_.zc_.value.fetch_add(1, std::memory_order_acq_rel) + 1;

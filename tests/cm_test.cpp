@@ -1,11 +1,19 @@
-// Unit tests for the contention-manager policies (§4.1 / DSTM [4]).
+// Unit tests for the contention-manager policies (§4.1 / DSTM [4]), and
+// for the start ticks the runtimes draw for them at begin.
 //
 // CTest label: `unit` (DESIGN.md §6).
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include "cm/contention_manager.hpp"
+#include "cs/cs.hpp"
+#include "lsa/lsa.hpp"
+#include "sstm/sstm.hpp"
+#include "zstm/zstm.hpp"
 
 namespace zstm::cm {
 namespace {
@@ -199,6 +207,112 @@ TEST(TxDesc, FinishAbortIdempotentOnFinalStates) {
 TEST(TxDesc, StatusNamesReadable) {
   EXPECT_STREQ(runtime::to_string(runtime::TxStatus::kActive), "active");
   EXPECT_STREQ(runtime::to_string(runtime::TxStatus::kCommitted), "committed");
+}
+
+// --- start ticks ---------------------------------------------------------
+
+TEST(Cm, OnlyStartOrderedPoliciesDrawTicks) {
+  for (Policy p : {Policy::kAggressive, Policy::kSuicide, Policy::kPolite,
+                   Policy::kKarma, Policy::kTimestamp, Policy::kGreedy,
+                   Policy::kPolka}) {
+    auto mgr = make_manager(p);
+    const bool ordered = p == Policy::kTimestamp || p == Policy::kGreedy;
+    EXPECT_EQ(mgr->orders_by_start(), ordered) << policy_name(p);
+    const std::uint64_t first = mgr->start_tick();
+    const std::uint64_t second = mgr->start_tick();
+    if (ordered) {
+      EXPECT_LT(first, second) << policy_name(p);
+    } else {
+      EXPECT_EQ(first, 0u) << policy_name(p);
+      EXPECT_EQ(second, 0u) << policy_name(p);
+    }
+  }
+}
+
+/// Begins `n` successive transactions on one runtime and returns the
+/// start ticks their descriptors carried. `begin_and_finish` runs one
+/// empty transaction and reports its descriptor's start_ticks().
+std::vector<std::uint64_t> ticks_of(
+    int n, const std::function<std::uint64_t()>& begin_and_finish) {
+  std::vector<std::uint64_t> out;
+  for (int i = 0; i < n; ++i) out.push_back(begin_and_finish());
+  return out;
+}
+
+using RuntimeTicks =
+    std::vector<std::pair<const char*, std::vector<std::uint64_t>>>;
+
+/// Successive descriptors' start ticks of lsa, cs, sstm and zl-long
+/// transactions under `policy`, keyed by runtime.
+RuntimeTicks runtime_ticks(Policy policy) {
+  constexpr int kTx = 4;
+  RuntimeTicks all;
+  {
+    lsa::Config cfg;
+    cfg.max_threads = 2;
+    cfg.cm_policy = policy;
+    lsa::Runtime rt(cfg);
+    auto th = rt.attach();
+    all.emplace_back("lsa", ticks_of(kTx, [&] {
+      const std::uint64_t t = th->begin().descriptor()->start_ticks();
+      th->commit();
+      return t;
+    }));
+  }
+  {
+    cs::Config cfg;
+    cfg.max_threads = 2;
+    cfg.cm_policy = policy;
+    auto rt = cs::make_vc_runtime(cfg);
+    auto th = rt->attach();
+    all.emplace_back("cs-vc", ticks_of(kTx, [&] {
+      const std::uint64_t t = th->begin().descriptor()->start_ticks();
+      th->commit();
+      return t;
+    }));
+  }
+  {
+    sstm::Config cfg;
+    cfg.max_threads = 2;
+    cfg.cm_policy = policy;
+    sstm::Runtime rt(cfg);
+    auto th = rt.attach();
+    all.emplace_back("sstm", ticks_of(kTx, [&] {
+      const std::uint64_t t = th->begin().descriptor()->start_ticks();
+      th->commit();
+      return t;
+    }));
+  }
+  {
+    zl::Config cfg;
+    cfg.lsa.max_threads = 2;
+    cfg.lsa.cm_policy = policy;
+    zl::Runtime rt(cfg);
+    auto th = rt.attach();
+    all.emplace_back("zl-long", ticks_of(kTx, [&] {
+      const std::uint64_t t = th->begin_long().descriptor()->start_ticks();
+      th->commit_long();
+      return t;
+    }));
+  }
+  return all;
+}
+
+TEST(Cm, StartOrderedPoliciesGiveIncreasingTicksOnEveryRuntime) {
+  for (Policy p : {Policy::kTimestamp, Policy::kGreedy}) {
+    for (const auto& [runtime, ticks] : runtime_ticks(p)) {
+      ASSERT_EQ(ticks.size(), 4u);
+      for (std::size_t i = 1; i < ticks.size(); ++i) {
+        EXPECT_LT(ticks[i - 1], ticks[i]) << runtime << " " << policy_name(p);
+      }
+    }
+  }
+}
+
+TEST(Cm, PoliteLeavesStartTicksAtZeroOnEveryRuntime) {
+  for (const auto& [runtime, ticks] : runtime_ticks(Policy::kPolite)) {
+    for (std::uint64_t t : ticks) EXPECT_EQ(t, 0u) << runtime;
+  }
 }
 
 }  // namespace

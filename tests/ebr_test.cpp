@@ -117,6 +117,43 @@ TEST(Ebr, CountsAreMonotone) {
   EXPECT_LE(ebr.freed_count(), ebr.retired_count());
 }
 
+// The retire/free counts live in each slot; the totals are sums over the
+// slots, so concurrent retirers must still add up exactly, and the sum may
+// be read while they run.
+TEST(Ebr, ConcurrentRetiresGiveExactCounts) {
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 5000;
+  ThreadRegistry reg(kThreads);
+  EpochManager ebr(reg, /*collect_period=*/16);
+  std::atomic<int> alive{0};
+  std::atomic<int> done{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&] {
+      auto r = reg.attach();
+      for (int i = 0; i < kPerThread; ++i) {
+        auto g = ebr.pin_guard(r.slot());
+        ebr.retire(r.slot(), new Tracked(alive));
+      }
+      done.fetch_add(1);
+    });
+  }
+  std::uint64_t last = 0;
+  while (done.load() < kThreads) {
+    const std::uint64_t now = ebr.retired_count();
+    EXPECT_GE(now, last);
+    EXPECT_LE(ebr.freed_count(), std::uint64_t{kThreads} * kPerThread);
+    last = now;
+    std::this_thread::yield();
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(ebr.retired_count(), std::uint64_t{kThreads} * kPerThread);
+  EXPECT_GT(ebr.freed_count(), 0u);  // collects ran while retiring
+  ebr.drain_all();
+  EXPECT_EQ(ebr.freed_count(), ebr.retired_count());
+  EXPECT_EQ(alive.load(), 0);
+}
+
 // Multi-threaded hunt: readers traverse a shared atomic pointer under pin
 // while a writer continuously swaps and retires nodes. TSAN/ASAN builds
 // turn latent bugs into hard failures; in plain builds the payload check

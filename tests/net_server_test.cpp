@@ -317,8 +317,14 @@ TEST(NetServer, PipelinedBurstBatchesDoorbellsAndIdleLoopParks) {
   EXPECT_LT(after.doorbells, after.responses);
 
   // `before` was taken ahead of the burst, which knocked the loop off the
-  // parked rung; quiet must bring it back there.
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  // parked rung; quiet must bring it back there. How long the climb takes
+  // depends on how busy the host is, so poll for up to a second.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(1);
+  while (rig.ts.stats().loop_parks <= before.loop_parks &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
   EXPECT_GT(rig.ts.stats().loop_parks, before.loop_parks);
 }
 
