@@ -13,10 +13,9 @@ perf deltas on shared runners are noisy), 2 on unreadable/unmatched input.
 import json
 import sys
 
-# String fields (e.g. `system`, `transport`, `phase`) are identity
-# automatically; these small integer knobs join them.
-ID_INT_FIELDS = {"threads", "r", "versions_kept", "batch", "shards", "rate",
-                 "io_threads", "conns"}
+# String fields (e.g. `system`, `section`) are identity automatically;
+# these small integer knobs join them.
+ID_INT_FIELDS = {"threads", "r", "versions_kept", "batch", "shards"}
 
 
 def row_key(row):

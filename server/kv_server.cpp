@@ -1,39 +1,30 @@
 // kv_server — the STM-backed KV service under open-loop load (DESIGN.md
 // §12): for each requested runtime variant, stand the service up, preload
 // the keyspace, drive a paced Zipfian request mix at a fixed arrival rate,
-// and report throughput plus the latency tail (p50/p99/p999, measured from
+// and print throughput plus the latency tail (p50/p99/p999, measured from
 // scheduled arrival, so queueing delay is in the numbers).
 //
 //   ./kv_server [--variants=lsa,zl,...] [--rate=2000] [--duration-ms=1000]
-//               [--workers=2] [--keys=4096] [--zipf=0.99] [--poisson]
+//               [--workers=2] [--keys=4096] [--zipf=0.99]
 //               [--put=0.15] [--del=0.02] [--multi=0.05] [--scan=0.01]
 //               [--transfer=0.07] [--multi-fanout=16] [--queue=16384]
-//               [--seed=1] [--json]
+//               [--seed=1]
 //
-// Networked mode (DESIGN.md §13.6) puts the epoll TCP front end between the
-// load generator and the service — same schedule, same mix, one extra hop:
+// The pacer sleeps to its schedule, so the printed latencies include the
+// pacer's oversleep: this binary is a runnable smoke load, not a
+// measurement. The KV measurement rail is kvbench (kvbench/README.md),
+// which spin-paces, checks every answer, and also covers the TCP front end.
 //
-//   ./kv_server --net [--port=0] [--io-threads=2] [--conns=8] [--idle-ms=0]
-//
-// Saturation sweep (§13.7): `--ramp` multiplies the arrival rate by
-// --ramp-step (default 2) from --rate up to --ramp-max, one --duration-ms
-// step each, and records the knee — the first rate where p99 exceeds
-// --knee-p99-us or anything is shed — per variant.
-//
-// `--json` writes BENCH_kv.json (in-process) or BENCH_kv_net.json (--net),
-// scripts/bench_compare.py compatible; the identity of a row is system +
-// rate + threads (+ transport/io_threads/conns/phase for net rows) + the
-// stringified knobs. Exit status is nonzero if any variant completes zero
-// requests.
+// A malformed or out-of-range flag value exits 2 with a message. Exit
+// status is 1 if any variant completes zero requests.
+#include <algorithm>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
-#include "bench/bench_json.hpp"
-#include "net/net_load_gen.hpp"
-#include "net/tcp_server.hpp"
 #include "server/kv_service.hpp"
 #include "server/load_gen.hpp"
 
@@ -51,34 +42,38 @@ struct Args {
   server::LoadMix mix;
   std::uint32_t multi_fanout = 16;
   std::size_t queue = 1 << 14;
-  bool poisson = false;
   std::uint64_t seed = 1;
-  bool json = false;
-  // --net
-  bool net = false;
-  int port = 0;
-  int io_threads = 2;
-  int conns = 8;
-  int idle_ms = 0;
-  // --ramp
-  bool ramp = false;
-  int ramp_max = 0;  ///< 0 = 32x the base rate
-  double ramp_step = 2.0;
-  double knee_p99_us = 50000.0;
 };
 
-bool parse_flag(const char* arg, const char* name, const char** value) {
-  const std::size_t n = std::strlen(name);
-  if (std::strncmp(arg, name, n) != 0) return false;
-  if (arg[n] == '\0') {
-    *value = nullptr;
-    return true;
+[[noreturn]] void usage_error(const std::string& flag, const char* value,
+                              const char* expected) {
+  std::fprintf(stderr, "kv_server: %s=%s: expected %s\n", flag.c_str(), value,
+               expected);
+  std::exit(2);
+}
+
+/// A decimal integer in [lo, hi]; anything else exits 2.
+std::uint64_t parse_uint(const std::string& flag, const char* v,
+                         std::uint64_t lo, std::uint64_t hi,
+                         const char* expected) {
+  char* end = nullptr;
+  errno = 0;
+  const std::uint64_t x = std::strtoull(v, &end, 10);
+  if (*v < '0' || *v > '9' || *end != '\0' || errno == ERANGE || x < lo ||
+      x > hi) {
+    usage_error(flag, v, expected);
   }
-  if (arg[n] == '=') {
-    *value = arg + n + 1;
-    return true;
+  return x;
+}
+
+/// A real number in [0, 1]; anything else (NaN included) exits 2.
+double parse_fraction(const std::string& flag, const char* v) {
+  char* end = nullptr;
+  const double x = std::strtod(v, &end);
+  if (end == v || *end != '\0' || !(x >= 0.0 && x <= 1.0)) {
+    usage_error(flag, v, "a number in [0, 1]");
   }
-  return false;
+  return x;
 }
 
 std::vector<std::string> split_csv(const char* s) {
@@ -97,59 +92,51 @@ std::vector<std::string> split_csv(const char* s) {
 }
 
 Args parse_args(int argc, char** argv) {
+  constexpr std::uint64_t kIntMax = std::numeric_limits<int>::max();
+  constexpr std::uint64_t kU64Max = std::numeric_limits<std::uint64_t>::max();
+  constexpr const char* kPositive = "a positive integer";
   Args a;
   for (int i = 1; i < argc; ++i) {
-    const char* v = nullptr;
-    if (parse_flag(argv[i], "--variants", &v) && v != nullptr) {
+    const std::string arg = argv[i];
+    const std::size_t eq = arg.find('=');
+    const std::string flag = arg.substr(0, eq);
+    const char* v = eq != std::string::npos ? argv[i] + eq + 1 : "";
+    if (flag == "--variants") {
       a.variants = split_csv(v);
-    } else if (parse_flag(argv[i], "--rate", &v) && v != nullptr) {
-      a.rate = std::atoi(v);
-    } else if (parse_flag(argv[i], "--duration-ms", &v) && v != nullptr) {
-      a.duration_ms = std::atoi(v);
-    } else if (parse_flag(argv[i], "--workers", &v) && v != nullptr) {
-      a.workers = std::atoi(v);
-    } else if (parse_flag(argv[i], "--keys", &v) && v != nullptr) {
-      a.keys = std::strtoull(v, nullptr, 10);
-    } else if (parse_flag(argv[i], "--zipf", &v) && v != nullptr) {
-      a.zipf = std::atof(v);
-    } else if (parse_flag(argv[i], "--put", &v) && v != nullptr) {
-      a.mix.put = std::atof(v);
-    } else if (parse_flag(argv[i], "--del", &v) && v != nullptr) {
-      a.mix.del = std::atof(v);
-    } else if (parse_flag(argv[i], "--multi", &v) && v != nullptr) {
-      a.mix.multi_get = std::atof(v);
-    } else if (parse_flag(argv[i], "--scan", &v) && v != nullptr) {
-      a.mix.scan = std::atof(v);
-    } else if (parse_flag(argv[i], "--transfer", &v) && v != nullptr) {
-      a.mix.transfer = std::atof(v);
-    } else if (parse_flag(argv[i], "--multi-fanout", &v) && v != nullptr) {
-      a.multi_fanout = static_cast<std::uint32_t>(std::atoi(v));
-    } else if (parse_flag(argv[i], "--queue", &v) && v != nullptr) {
-      a.queue = static_cast<std::size_t>(std::strtoull(v, nullptr, 10));
-    } else if (parse_flag(argv[i], "--seed", &v) && v != nullptr) {
-      a.seed = std::strtoull(v, nullptr, 10);
-    } else if (parse_flag(argv[i], "--port", &v) && v != nullptr) {
-      a.port = std::atoi(v);
-    } else if (parse_flag(argv[i], "--io-threads", &v) && v != nullptr) {
-      a.io_threads = std::atoi(v);
-    } else if (parse_flag(argv[i], "--conns", &v) && v != nullptr) {
-      a.conns = std::atoi(v);
-    } else if (parse_flag(argv[i], "--idle-ms", &v) && v != nullptr) {
-      a.idle_ms = std::atoi(v);
-    } else if (parse_flag(argv[i], "--ramp-max", &v) && v != nullptr) {
-      a.ramp_max = std::atoi(v);
-    } else if (parse_flag(argv[i], "--ramp-step", &v) && v != nullptr) {
-      a.ramp_step = std::atof(v);
-    } else if (parse_flag(argv[i], "--knee-p99-us", &v) && v != nullptr) {
-      a.knee_p99_us = std::atof(v);
-    } else if (std::strcmp(argv[i], "--poisson") == 0) {
-      a.poisson = true;
-    } else if (std::strcmp(argv[i], "--json") == 0) {
-      a.json = true;
-    } else if (std::strcmp(argv[i], "--net") == 0) {
-      a.net = true;
-    } else if (std::strcmp(argv[i], "--ramp") == 0) {
-      a.ramp = true;
+      for (const std::string& name : a.variants) {
+        if (std::ranges::find(api::variant_names(), name) ==
+            api::variant_names().end()) {
+          usage_error(flag, v, "known variant names");
+        }
+      }
+    } else if (flag == "--rate") {
+      a.rate = static_cast<int>(parse_uint(flag, v, 1, kIntMax, kPositive));
+    } else if (flag == "--duration-ms") {
+      a.duration_ms =
+          static_cast<int>(parse_uint(flag, v, 1, kIntMax, kPositive));
+    } else if (flag == "--workers") {
+      a.workers = static_cast<int>(parse_uint(flag, v, 1, 64, "1 to 64"));
+    } else if (flag == "--keys") {
+      a.keys = parse_uint(flag, v, 1, kU64Max, kPositive);
+    } else if (flag == "--zipf") {
+      a.zipf = parse_fraction(flag, v);
+    } else if (flag == "--put") {
+      a.mix.put = parse_fraction(flag, v);
+    } else if (flag == "--del") {
+      a.mix.del = parse_fraction(flag, v);
+    } else if (flag == "--multi") {
+      a.mix.multi_get = parse_fraction(flag, v);
+    } else if (flag == "--scan") {
+      a.mix.scan = parse_fraction(flag, v);
+    } else if (flag == "--transfer") {
+      a.mix.transfer = parse_fraction(flag, v);
+    } else if (flag == "--multi-fanout") {
+      a.multi_fanout = static_cast<std::uint32_t>(
+          parse_uint(flag, v, 1, kIntMax, kPositive));
+    } else if (flag == "--queue") {
+      a.queue = parse_uint(flag, v, 1, kIntMax, kPositive);
+    } else if (flag == "--seed") {
+      a.seed = parse_uint(flag, v, 0, kU64Max, "an integer");
     } else {
       std::fprintf(stderr, "unknown argument: %s\n", argv[i]);
       std::exit(2);
@@ -158,54 +145,34 @@ Args parse_args(int argc, char** argv) {
   if (a.variants.empty()) {
     a.variants = api::variant_names();
   }
-  if (a.ramp_max <= 0) a.ramp_max = a.rate * 32;
-  if (a.ramp_step < 1.1) a.ramp_step = 1.1;
   return a;
 }
 
 double us(std::uint64_t ns) { return static_cast<double>(ns) / 1e3; }
 
-server::ServiceConfig service_config(const Args& args,
-                                     const std::string& variant) {
+/// One in-process run; false if it completed zero requests.
+bool run_variant(const Args& args, const std::string& variant) {
   server::ServiceConfig scfg;
   scfg.variant = variant;
   scfg.workers = args.workers;
   scfg.queue_capacity = args.queue;
   scfg.buckets = 256;
   scfg.stm.max_threads = args.workers + 4;  // workers + pacer/main/hk slack
-  return scfg;
-}
 
-server::LoadGenConfig load_config(const Args& args, int rate) {
   server::LoadGenConfig lcfg;
-  lcfg.rate = static_cast<double>(rate);
+  lcfg.rate = static_cast<double>(args.rate);
   lcfg.duration = std::chrono::milliseconds(args.duration_ms);
   lcfg.keyspace = args.keys;
   lcfg.zipf_theta = args.zipf;
   lcfg.mix = args.mix;
   lcfg.multi_fanout = args.multi_fanout;
-  lcfg.poisson = args.poisson;
   lcfg.seed = args.seed;
-  return lcfg;
-}
 
-/// What ramp-knee detection needs from one (variant, rate) step.
-struct StepOut {
-  bool ok = false;        ///< completed at least one request
-  double p99_us = 0.0;
-  std::uint64_t shed = 0;  ///< all shed causes, client and server side
-};
-
-/// One in-process run. `phase` tags the row ("ramp"); nullptr keeps the
-/// classic BENCH_kv row identity untouched.
-StepOut run_inproc(const Args& args, const std::string& variant, int rate,
-                   const char* phase, benchjson::Doc& doc) {
-  server::KvService svc(service_config(args, variant));
+  server::KvService svc(scfg);
   svc.preload(0, args.keys, 100);
 
   svc.start();
-  const server::LoadGenResult load =
-      server::run_open_loop(svc, load_config(args, rate));
+  const server::LoadGenResult load = server::run_open_loop(svc, lcfg);
   svc.stop();
 
   server::ServiceMetrics m = svc.metrics();
@@ -213,144 +180,15 @@ StepOut run_inproc(const Args& args, const std::string& variant, int rate,
   const double thruput =
       secs > 0 ? static_cast<double>(m.completed) / secs : 0.0;
 
-  StepOut out;
-  out.ok = m.completed > 0;
-  out.p99_us = us(m.all.quantile(0.99));
-  out.shed = load.shed;
-
   std::printf("%-8s %8d %10.0f %8llu %8llu %8.1f %9.1f %9.1f %9.1f %7llu %6llu\n",
-              variant.c_str(), rate, thruput,
+              variant.c_str(), args.rate, thruput,
               static_cast<unsigned long long>(load.accepted),
               static_cast<unsigned long long>(load.shed),
               us(m.all.quantile(0.50)), us(m.all.quantile(0.99)),
               us(m.all.quantile(0.999)), us(m.all.max()),
               static_cast<unsigned long long>(m.progress.serial_entries),
               static_cast<unsigned long long>(m.reclaimed_total));
-
-  auto& row = doc.row();
-  row.str("system", variant)
-      .num("threads", args.workers)
-      .num("rate", rate)
-      .str("zipf", std::to_string(args.zipf))
-      .str("keys", std::to_string(args.keys));
-  if (phase != nullptr) row.str("phase", phase);
-  row.num("offered", load.offered)
-      .num("accepted", load.accepted)
-      .num("shed", load.shed)
-      .num("completed", m.completed)
-      .num("throughput", thruput)
-      .num("p50_us", us(m.all.quantile(0.50)))
-      .num("p99_us", us(m.all.quantile(0.99)))
-      .num("p999_us", us(m.all.quantile(0.999)))
-      .num("max_us", us(m.all.max()))
-      .num("get_p99_us",
-           us(m.per_op[static_cast<std::size_t>(server::Op::kGet)].quantile(
-               0.99)))
-      .num("put_p99_us",
-           us(m.per_op[static_cast<std::size_t>(server::Op::kPut)].quantile(
-               0.99)))
-      .num("scan_p99_us",
-           us(m.per_op[static_cast<std::size_t>(server::Op::kScan)].quantile(
-               0.99)))
-      .num("serial_entries", m.progress.serial_entries)
-      .num("max_attempts", static_cast<std::uint64_t>(m.progress.max_attempts))
-      .num("trims", m.reclaimed_total)
-      .num("maintain_forced", m.maintain_forced)
-      .num("desc_retained", static_cast<std::uint64_t>(m.retained_last))
-      .num("desc_high_water",
-           static_cast<std::uint64_t>(m.retained_high_water));
-  return out;
-}
-
-/// One networked run: service + TcpServer on loopback, load over TCP.
-StepOut run_net(const Args& args, const std::string& variant, int rate,
-                const char* phase, benchjson::Doc& doc) {
-  StepOut out;
-
-  server::KvService svc(service_config(args, variant));
-  svc.preload(0, args.keys, 100);
-  svc.start();
-
-  net::NetConfig ncfg;
-  ncfg.port = static_cast<std::uint16_t>(args.port);
-  ncfg.io_threads = args.io_threads;
-  ncfg.idle_timeout = std::chrono::milliseconds(args.idle_ms);
-  net::TcpServer ts(svc, ncfg);
-  if (!ts.start()) {
-    std::fprintf(stderr, "kv_server: TCP server failed to start\n");
-    svc.stop();
-    return out;
-  }
-
-  const net::NetLoadResult load = net::run_net_open_loop(
-      "127.0.0.1", ts.port(), load_config(args, rate), args.conns);
-
-  ts.stop();  // before the service: in-flight completions target live loops
-  svc.stop();
-
-  const net::NetStats ns = ts.stats();
-  server::ServiceMetrics m = svc.metrics();
-  const double secs = static_cast<double>(load.elapsed_ns) / 1e9;
-  const double thruput =
-      secs > 0 ? static_cast<double>(load.responses) / secs : 0.0;
-  const std::uint64_t shed_total =
-      load.client_shed + load.server_shed + load.unflushed;
-
-  out.ok = load.all.count() > 0;
-  out.p99_us = us(load.all.quantile(0.99));
-  out.shed = shed_total;
-
-  std::printf("%-8s %8d %10.0f %8llu %8llu %8.1f %9.1f %9.1f %9.1f %7llu %6llu\n",
-              variant.c_str(), rate, thruput,
-              static_cast<unsigned long long>(load.responses),
-              static_cast<unsigned long long>(shed_total),
-              us(load.all.quantile(0.50)), us(load.all.quantile(0.99)),
-              us(load.all.quantile(0.999)), us(load.all.max()),
-              static_cast<unsigned long long>(m.progress.serial_entries),
-              static_cast<unsigned long long>(ns.protocol_errors));
-
-  const auto op_p99 = [&load](net::wire::Op op) {
-    return us(load.per_op[static_cast<int>(op)].quantile(0.99));
-  };
-
-  auto& row = doc.row();
-  row.str("system", variant)
-      .str("transport", "tcp")
-      .num("threads", args.workers)
-      .num("io_threads", args.io_threads)
-      .num("conns", args.conns)
-      .num("rate", rate)
-      .str("zipf", std::to_string(args.zipf))
-      .str("keys", std::to_string(args.keys))
-      .str("phase", phase != nullptr ? phase : "fixed")
-      .num("offered", load.offered)
-      .num("sent", load.sent)
-      .num("client_shed", load.client_shed)
-      .num("server_shed", load.server_shed)
-      .num("unflushed", load.unflushed)
-      .num("io_errors", load.io_errors)
-      .num("responses", load.responses)
-      .num("completed", m.completed)
-      .num("throughput", thruput)
-      .num("p50_us", us(load.all.quantile(0.50)))
-      .num("p99_us", us(load.all.quantile(0.99)))
-      .num("p999_us", us(load.all.quantile(0.999)))
-      .num("max_us", us(load.all.max()))
-      .num("get_p99_us", op_p99(net::wire::Op::kGet))
-      .num("put_p99_us", op_p99(net::wire::Op::kPut))
-      .num("scan_p99_us", op_p99(net::wire::Op::kScan))
-      .num("net_requests", ns.requests)
-      .num("net_responses", ns.responses)
-      .num("shed_backpressure", ns.shed_backpressure)
-      .num("shed_service", ns.shed_service)
-      .num("protocol_errors", ns.protocol_errors)
-      .num("conns_accepted", ns.conns_accepted)
-      .num("doorbells", ns.doorbells)
-      .num("loop_parks", ns.loop_parks)
-      .num("serial_entries", m.progress.serial_entries)
-      .num("max_attempts",
-           static_cast<std::uint64_t>(m.progress.max_attempts));
-  return out;
+  return m.completed > 0;
 }
 
 }  // namespace
@@ -360,76 +198,17 @@ int main(int argc, char** argv) {
 
   std::printf(
       "kv_server: open-loop %d req/s for %d ms, %d workers, %llu keys, "
-      "zipf %.2f%s%s%s\n",
+      "zipf %.2f\n",
       args.rate, args.duration_ms, args.workers,
-      static_cast<unsigned long long>(args.keys), args.zipf,
-      args.poisson ? ", poisson" : "", args.net ? ", tcp loopback" : "",
-      args.ramp ? ", ramp" : "");
-  if (args.net) {
-    std::printf("net: %d io thread(s), %d conn(s)\n", args.io_threads,
-                args.conns);
-  }
+      static_cast<unsigned long long>(args.keys), args.zipf);
   std::printf("%-8s %8s %10s %8s %8s %8s %9s %9s %9s %7s %6s\n", "system",
-              "rate", "thruput/s", args.net ? "resps" : "accepted", "shed",
-              "p50us", "p99us", "p999us", "maxus", "serial",
-              args.net ? "proterr" : "trims");
+              "rate", "thruput/s", "accepted", "shed", "p50us", "p99us",
+              "p999us", "maxus", "serial", "trims");
 
-  benchjson::Doc doc(args.net ? "kv_net" : "kv");
   bool failed = false;
-
-  const auto run_step = [&](const std::string& variant, int rate,
-                            const char* phase) {
-    return args.net ? run_net(args, variant, rate, phase, doc)
-                    : run_inproc(args, variant, rate, phase, doc);
-  };
-
   for (const std::string& variant : args.variants) {
-    if (!args.ramp) {
-      if (!run_step(variant, args.rate, nullptr).ok) failed = true;
-      continue;
-    }
-
-    // Saturation sweep: geometric rate steps until the knee (or the cap).
-    // The knee is the first rate where the tail blows past the bound or
-    // anything at all is shed — the open-loop definition of "can't keep up".
-    int knee_rate = 0;
-    int last_rate = 0;
-    bool any_ok = false;
-    for (double r = args.rate; static_cast<int>(r) <= args.ramp_max;
-         r *= args.ramp_step) {
-      const int rate = static_cast<int>(r);
-      last_rate = rate;
-      const StepOut step = run_step(variant, rate, "ramp");
-      any_ok = any_ok || step.ok;
-      if (step.ok && (step.p99_us > args.knee_p99_us || step.shed > 0)) {
-        knee_rate = rate;
-        break;
-      }
-    }
-    if (!any_ok) failed = true;
-
-    std::printf("%-8s knee: %s%d req/s (p99 bound %.0f us)\n", variant.c_str(),
-                knee_rate > 0 ? "" : ">", knee_rate > 0 ? knee_rate : last_rate,
-                args.knee_p99_us);
-
-    auto& row = doc.row();
-    row.str("system", variant).str("phase", "knee");
-    if (args.net) {
-      row.str("transport", "tcp")
-          .num("io_threads", args.io_threads)
-          .num("conns", args.conns);
-    }
-    row.num("threads", args.workers)
-        .num("rate", args.rate)
-        .str("zipf", std::to_string(args.zipf))
-        .str("keys", std::to_string(args.keys))
-        .num("knee_rate", knee_rate)
-        .num("knee_found", knee_rate > 0 ? 1 : 0)
-        .num("max_rate_tested", last_rate)
-        .num("knee_p99_bound_us", args.knee_p99_us);
+    if (!run_variant(args, variant)) failed = true;
   }
-
-  if (args.json && !doc.write()) return 1;
   if (failed) {
     std::fprintf(stderr, "kv_server: a variant completed zero requests\n");
     return 1;

@@ -60,7 +60,7 @@ const SiteInfo kSites[static_cast<int>(Site::kCount)] = {
     {"timebase.lease_fence", kDelayBit, Effect::kDelay},
     {"ebr.retire", kDelayBit, Effect::kDelay},
     {"pool.alloc", effect_bit(Effect::kOom) | kDelayBit, Effect::kOom},
-    // Net-layer sites (DESIGN.md §13.5): CasFail = "this I/O step fails".
+    // Net-layer sites (DESIGN.md §13.4): CasFail = "this I/O step fails".
     // The connection state machine has a recovery path for every one of
     // them (short reads re-enter the incremental parser, short writes stay
     // in the out-buffer, a dropped accept is just a closed fd), so no
@@ -307,5 +307,13 @@ Registry& registry() {
   static Registry r;
   return r;
 }
+
+namespace {
+// poke() never reaches the registry while no site is armed, so the
+// environment recipe is parsed eagerly, during static initialization: a
+// binary that never names the registry would otherwise ignore
+// ZSTM_FAILPOINTS.
+[[maybe_unused]] const Registry& g_env_recipe = registry();
+}  // namespace
 
 }  // namespace zstm::fault

@@ -28,7 +28,7 @@
 // zero-hit behaviour; bench_fig6 vs the committed baseline pins the cost).
 //
 // Arming: programmatic (`registry().arm(...)`) or via the environment,
-// parsed once at first use:
+// parsed once during static initialization, before main:
 //
 //   ZSTM_FAILPOINTS=site:prob[:after[:effect]],...   e.g.
 //   ZSTM_FAILPOINTS=lsa.acquire:0.05,tl2.stripe_lock:0.2:100:casfail
@@ -175,8 +175,8 @@ class Registry {
   SiteState sites_[static_cast<int>(Site::kCount)];
 };
 
-/// The process-wide registry. First call parses ZSTM_FAILPOINTS /
-/// ZSTM_FAILPOINT_SEED from the environment.
+/// The process-wide registry. Built before main, when it parses
+/// ZSTM_FAILPOINTS / ZSTM_FAILPOINT_SEED from the environment.
 Registry& registry();
 
 }  // namespace zstm::fault

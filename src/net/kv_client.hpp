@@ -1,8 +1,8 @@
 // KvClient — blocking client for the networked KV front end (DESIGN.md
 // §13.2): one TCP connection, one outstanding request at a time, every
-// protocol op as a typed method. The tests' workhorse; the loopback load
-// generator (net_load_gen.hpp) pipelines over raw sockets instead and only
-// shares the connect helper.
+// protocol op as a typed method. The tests' workhorse; kvbench's kv-net
+// generator (kvbench/kvbench.cpp) pipelines over raw sockets instead and
+// only shares the connect helper.
 //
 // Error model: transport problems (connect refused, connection closed,
 // malformed response) surface as `ok() == false` / a kTransportError

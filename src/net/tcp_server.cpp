@@ -676,7 +676,7 @@ void TcpServer::stop() {
     ::close(loop->evfd);
   }
   // Fold the per-loop counters into retired_ so stats() keeps reporting
-  // them after the loops are gone (the --net bench snapshots post-stop).
+  // them after the loops are gone (kvbench reads them after shutdown).
   for (const auto& loop : loops_) {
     retired_.requests += loop->requests.load(std::memory_order_relaxed);
     retired_.responses += loop->responses.load(std::memory_order_relaxed);

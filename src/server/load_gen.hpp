@@ -1,15 +1,16 @@
 // Open-loop load generator for the KV service (DESIGN.md §12.3).
 //
-// One pacer thread issues requests on a fixed schedule — deterministic
-// 1/rate spacing by default, exponential (Poisson process) interarrivals on
-// request — and stamps each request with its SCHEDULED arrival time, not
-// the time the pacer got around to enqueueing it. Latency is therefore
+// One pacer thread issues requests on a fixed schedule of deterministic
+// 1/rate spacing and stamps each request with its SCHEDULED arrival time,
+// not the time the pacer got around to enqueueing it. Latency is therefore
 // measured from when the request *should* have arrived, so pacer lateness
 // and queueing delay both land in the recorded tail instead of being
 // silently absorbed (the coordinated-omission trap of closed-loop
 // harnesses). When the service ring is full the request is shed and
 // counted: an overloaded open-loop system drops work, it does not slow the
-// arrival process down.
+// arrival process down. The pacer sleeps to the schedule, so its oversleep
+// lands in the tail too; kvbench (kvbench/README.md) spin-paces instead and
+// is the rail that measures the service.
 //
 // Key choice follows a Zipfian(theta) over [0, keyspace) with scrambled
 // ranks (util::Zipfian); the op mix is a cumulative draw over the six
@@ -17,7 +18,6 @@
 #pragma once
 
 #include <chrono>
-#include <cmath>
 #include <cstdint>
 #include <thread>
 
@@ -44,7 +44,6 @@ struct LoadGenConfig {
   double zipf_theta = 0.99;  ///< 0 = uniform
   LoadMix mix;
   std::uint32_t multi_fanout = 16;
-  bool poisson = false;  ///< exponential interarrivals instead of fixed
   std::uint64_t seed = 1;
   Value put_value = 100;
   Value transfer_amount = 1;
@@ -57,11 +56,11 @@ struct LoadGenResult {
   std::uint64_t elapsed_ns = 0;
 };
 
-/// The arrival process both open-loop generators share (run_open_loop
-/// below and net::run_net_open_loop): owns the schedule, the op-mix rng and
-/// the Zipfian key stream. Each next() sleeps to the next scheduled arrival
-/// and draws that request; the sequence depends only on the config (seed
-/// included), never on timing. Requires cfg.rate > 0 and cfg.keyspace > 0.
+/// The open-loop arrival process run_open_loop below drives: owns the
+/// schedule, the op-mix rng and the Zipfian key stream. Each next() sleeps
+/// to the next scheduled arrival and draws that request; the sequence
+/// depends only on the config (seed included), never on timing. Requires
+/// cfg.rate > 0 and cfg.keyspace > 0.
 class OpenLoopPacer {
  public:
   explicit OpenLoopPacer(const LoadGenConfig& cfg)
@@ -123,14 +122,7 @@ class OpenLoopPacer {
       req.key = keys_.next();
     }
 
-    if (cfg_.poisson) {
-      // Exponential interarrival: -ln(U) scaled to the mean spacing.
-      double u = rng_.next_unit();
-      if (u <= 1e-12) u = 1e-12;
-      next_ += -std::log(u) * interval_ns_;
-    } else {
-      next_ += interval_ns_;
-    }
+    next_ += interval_ns_;
     return true;
   }
 
